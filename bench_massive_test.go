@@ -45,8 +45,8 @@ var massiveFlag = flag.Bool("massive", false,
 // -massive, otherwise the same shape at a tenth of the population so a
 // default bench run finishes in minutes rather than tens of minutes.
 // Both sizes keep the paper's full 121-day March-June monitoring window:
-// the unbounded variant's install-log and ledger terms grow with every
-// simulated day, so the window length IS the experiment.
+// the unbounded variant's install log grows with every simulated day, so
+// the window length IS the experiment.
 func massiveWorldConfig() sim.Config {
 	cfg := sim.MassiveConfig()
 	if !*massiveFlag {
@@ -84,14 +84,13 @@ func peakRSSMB() float64 {
 
 // benchMassiveRun replays the massive world once per iteration and
 // reports the peak-RSS and per-device-day metrics. spill toggles the
-// bounded-memory model: off clears InstallLogWindow and re-enables the
-// ledger's transaction history (the old everything-resident behavior,
-// where both grow O(run)); on keeps MassiveConfig's O(window) bounds.
+// bounded-memory model: off clears InstallLogWindow (the whole install
+// log stays resident, growing O(run)); on keeps MassiveConfig's
+// O(window) bound.
 func benchMassiveRun(b *testing.B, spill bool) {
 	cfg := massiveWorldConfig()
 	if !spill {
 		cfg.InstallLogWindow = 0
-		cfg.LedgerBalancesOnly = false
 	}
 	devices := cfg.WorkerPoolSize * len(iip.StandardNames)
 	deviceDays := float64(devices) * float64(cfg.Window.Days())

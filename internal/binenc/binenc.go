@@ -18,6 +18,7 @@ var (
 	ErrShort    = errors.New("binenc: buffer too short")
 	ErrOverflow = errors.New("binenc: varint overflows")
 	ErrTooLong  = errors.New("binenc: declared length exceeds remaining input")
+	ErrOverlong = errors.New("binenc: non-canonical varint")
 )
 
 // Enc is an append-only encoder. The zero value is ready to use; Bytes
@@ -190,16 +191,28 @@ func (d *Dec) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		if n == 0 {
-			d.fail(ErrShort)
-		} else {
-			d.fail(ErrOverflow)
-		}
+	if !d.varintOK(n) {
 		return 0
 	}
 	d.off += n
 	return v
+}
+
+// varintOK checks the byte count a binary.(U)varint read returned. A
+// multi-byte varint ending in a zero byte is an overlong encoding of a
+// shorter one; rejecting it keeps every value's byte form unique.
+func (d *Dec) varintOK(n int) bool {
+	switch {
+	case n == 0:
+		d.fail(ErrShort)
+	case n < 0:
+		d.fail(ErrOverflow)
+	case n > 1 && d.buf[d.off+n-1] == 0:
+		d.fail(ErrOverlong)
+	default:
+		return true
+	}
+	return false
 }
 
 // Varint reads a zig-zag signed varint.
@@ -208,12 +221,7 @@ func (d *Dec) Varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		if n == 0 {
-			d.fail(ErrShort)
-		} else {
-			d.fail(ErrOverflow)
-		}
+	if !d.varintOK(n) {
 		return 0
 	}
 	d.off += n

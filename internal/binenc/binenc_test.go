@@ -2,6 +2,7 @@ package binenc
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 )
@@ -88,6 +89,20 @@ func TestDecRejectsNonCanonicalBool(t *testing.T) {
 	d.Bool()
 	if d.Err() == nil {
 		t.Error("bool byte 2 must be rejected")
+	}
+}
+
+func TestDecRejectsOverlongVarint(t *testing.T) {
+	for _, b := range [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}} {
+		if d := NewDec(b); d.Uvarint() != 0 || !errors.Is(d.Err(), ErrOverlong) {
+			t.Errorf("Uvarint(% x): err = %v, want ErrOverlong", b, d.Err())
+		}
+		if d := NewDec(b); d.Varint() != 0 || !errors.Is(d.Err(), ErrOverlong) {
+			t.Errorf("Varint(% x): err = %v, want ErrOverlong", b, d.Err())
+		}
+	}
+	if d := NewDec([]byte{0x80, 0x01}); d.Uvarint() != 128 || d.Err() != nil {
+		t.Errorf("canonical 128 rejected: %v", d.Err())
 	}
 }
 

@@ -41,47 +41,21 @@ func BenchmarkPostback(b *testing.B) {
 }
 
 // BenchmarkLedgerPost measures one buffered posting plus its amortized
-// flush, comparing per-post account-name concatenation ("concat", the
-// pre-E5 delivery path) against account names interned once ("interned",
-// what the engine now posts with).
+// flush, with account names interned once the way the engine posts them.
 func BenchmarkLedgerPost(b *testing.B) {
-	const devID, iipName = "adv-dev-00042", "fyber"
-	b.Run("concat", func(b *testing.B) {
-		var buf TxBuffer
-		l := NewLedger()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := buf.Post(DeveloperAccount(devID), IIPAccount(iipName), 0.17, "offer completion"); err != nil {
+	dev := DeveloperAccount("adv-dev-00042")
+	iipAcct := IIPAccount("fyber")
+	var buf TxBuffer
+	l := NewLedger()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := buf.Post(dev, iipAcct, 0.17, "offer completion"); err != nil {
+			b.Fatal(err)
+		}
+		if buf.Len() >= 4096 {
+			if err := buf.FlushTo(l); err != nil {
 				b.Fatal(err)
 			}
-			if buf.Len() >= 4096 {
-				if err := buf.FlushTo(l); err != nil {
-					b.Fatal(err)
-				}
-				if l.NumTransactions() >= 1<<20 {
-					l = NewLedger() // bound memory across long runs
-				}
-			}
 		}
-	})
-	b.Run("interned", func(b *testing.B) {
-		dev := DeveloperAccount(devID)
-		iipAcct := IIPAccount(iipName)
-		var buf TxBuffer
-		l := NewLedger()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := buf.Post(dev, iipAcct, 0.17, "offer completion"); err != nil {
-				b.Fatal(err)
-			}
-			if buf.Len() >= 4096 {
-				if err := buf.FlushTo(l); err != nil {
-					b.Fatal(err)
-				}
-				if l.NumTransactions() >= 1<<20 {
-					l = NewLedger() // bound memory across long runs
-				}
-			}
-		}
-	})
+	}
 }

@@ -8,6 +8,7 @@ package mediator
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -24,33 +25,26 @@ type Tx struct {
 // Ledger is a double-entry account book. Accounts are created on first
 // use; external parties (a developer's bank) naturally go negative as they
 // fund the system, so the sum of all balances is always zero.
+//
+// No transaction history is retained: beside the balances the ledger
+// keeps only a posting count and a running Digest of the posting
+// sequence, so it stays O(accounts) however long the run.
 type Ledger struct {
 	mu       sync.Mutex
 	balances map[string]float64
-	txs      []Tx
-	// balancesOnly drops the per-transfer log (and its memo strings),
-	// bounding the ledger at O(accounts) instead of O(run) — the
-	// massive-world configs switch it on (DESIGN.md E12). Balances,
-	// conservation, and snapshots stay bit-identical; only the retained
-	// Tx history (empty in snapshots too) differs.
-	balancesOnly bool
+	numTxs   int
+	digest   uint64
 }
 
-// NewLedger returns an empty ledger that retains its full transaction
-// log.
+// FNV-1a 64-bit parameters of the posting digest.
+const (
+	fnvOffset = 0xcbf29ce484222325
+	fnvPrime  = 0x100000001b3
+)
+
+// NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{balances: map[string]float64{}}
-}
-
-// DisableTxLog switches the ledger to balances-only accounting: future
-// postings update balances without appending to the transaction log, and
-// any already-retained log is released. Call before the first posting
-// when the whole run should be bounded.
-func (l *Ledger) DisableTxLog() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.balancesOnly = true
-	l.txs = nil
+	return &Ledger{balances: map[string]float64{}, digest: fnvOffset}
 }
 
 // Post transfers amount from one account to another.
@@ -66,9 +60,10 @@ func (l *Ledger) Post(from, to string, amount float64, memo string) error {
 
 // PostAll applies a batch of pre-validated transactions under one lock
 // acquisition, in slice order. The parallel day engine flushes each work
-// unit's TxBuffer through here in a fixed unit order, so the ledger's
-// transaction log — and every floating-point balance — is bit-for-bit
-// identical regardless of how many workers produced the buffers.
+// unit's TxBuffer through here in a fixed unit order, so the posting
+// sequence (and with it the Digest) and every floating-point balance are
+// bit-for-bit identical regardless of how many workers produced the
+// buffers.
 func (l *Ledger) PostAll(txs []Tx) error {
 	for _, tx := range txs {
 		if err := validateTx(tx.From, tx.To, tx.Amount); err != nil {
@@ -86,9 +81,15 @@ func (l *Ledger) PostAll(txs []Tx) error {
 func (l *Ledger) applyLocked(tx Tx) {
 	l.balances[tx.From] -= tx.Amount
 	l.balances[tx.To] += tx.Amount
-	if !l.balancesOnly {
-		l.txs = append(l.txs, tx)
+	l.numTxs++
+	h := l.digest
+	for _, s := range [...]string{tx.From, tx.To, tx.Memo} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * fnvPrime
+		}
+		h = (h ^ '|') * fnvPrime
 	}
+	l.digest = (h ^ math.Float64bits(tx.Amount)) * fnvPrime
 }
 
 func validateTx(from, to string, amount float64) error {
@@ -166,14 +167,20 @@ func (l *Ledger) Sum() float64 {
 func (l *Ledger) NumTransactions() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.txs)
+	return l.numTxs
 }
 
-// Transactions returns a copy of the transaction log.
-func (l *Ledger) Transactions() []Tx {
+// Digest returns an order-sensitive FNV-1a digest of every transfer
+// posted so far. Starting from the 64-bit offset basis
+// 0xcbf29ce484222325, each transfer hashes From, To and Memo byte-wise,
+// each followed by a '|' byte, then XORs in Float64bits(Amount) as one
+// 64-bit word and multiplies by the FNV prime. Equal digests mean the
+// same postings in the same order (up to hash collisions), which is how
+// the determinism tests compare runs.
+func (l *Ledger) Digest() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]Tx(nil), l.txs...)
+	return l.digest
 }
 
 // Account name helpers keep the naming scheme in one place.

@@ -33,55 +33,6 @@ func TestLedgerPostAndBalances(t *testing.T) {
 	}
 }
 
-// TestLedgerBalancesOnly checks the bounded-memory mode: identical
-// balances and conservation, no retained history — through postings,
-// snapshot round-trips, and a restore from a full-log snapshot.
-func TestLedgerBalancesOnly(t *testing.T) {
-	full, lean := NewLedger(), NewLedger()
-	lean.DisableTxLog()
-	post := func(l *Ledger) {
-		if err := l.Post(ExternalWorld, DeveloperAccount("d1"), 100, "fund"); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Post(DeveloperAccount("d1"), IIPAccount("Fyber"), 30, "campaign"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	post(full)
-	post(lean)
-	for acct, want := range full.Balances() {
-		if got := lean.Balance(acct); got != want {
-			t.Errorf("balance %s = %g, want %g", acct, got, want)
-		}
-	}
-	if lean.Sum() != 0 {
-		t.Errorf("conservation broken: sum = %g", lean.Sum())
-	}
-	if n := lean.NumTransactions(); n != 0 {
-		t.Errorf("balances-only ledger retained %d transactions", n)
-	}
-
-	// Restoring a full-log snapshot into a balances-only ledger keeps the
-	// balances bit-exact without resurrecting the history.
-	restored := NewLedger()
-	restored.DisableTxLog()
-	if err := restored.RestoreSnapshot(full.EncodeSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := restored.Balance(DeveloperAccount("d1")), full.Balance(DeveloperAccount("d1")); got != want {
-		t.Errorf("restored balance = %g, want %g", got, want)
-	}
-	if n := restored.NumTransactions(); n != 0 {
-		t.Errorf("restore resurrected %d transactions", n)
-	}
-
-	// DisableTxLog after the fact releases what was already retained.
-	full.DisableTxLog()
-	if n := full.NumTransactions(); n != 0 {
-		t.Errorf("DisableTxLog retained %d transactions", n)
-	}
-}
-
 func TestLedgerRejectsBadAmounts(t *testing.T) {
 	l := NewLedger()
 	if err := l.Post("a", "b", 0, ""); !errors.Is(err, ErrBadAmount) {
@@ -166,9 +117,16 @@ func TestTxBufferDeferredFlush(t *testing.T) {
 	if b.Len() != 0 {
 		t.Error("flush must empty the buffer")
 	}
-	txs := l.Transactions()
-	if len(txs) != 2 || txs[0].Memo != "fund" || txs[1].Memo != "pay" {
-		t.Errorf("flush must preserve posting order: %+v", txs)
+	direct, swapped := NewLedger(), NewLedger()
+	direct.Post(ExternalWorld, "a", 10, "fund")
+	direct.Post("a", "b", 4, "pay")
+	if l.Digest() != direct.Digest() {
+		t.Errorf("flushed digest %#x, want %#x from the same posts made directly", l.Digest(), direct.Digest())
+	}
+	swapped.Post("a", "b", 4, "pay")
+	swapped.Post(ExternalWorld, "a", 10, "fund")
+	if swapped.Digest() == direct.Digest() {
+		t.Error("digest must depend on posting order")
 	}
 	if got := l.Balance("a"); got != 6 {
 		t.Errorf("a = %g, want 6", got)
@@ -183,6 +141,7 @@ func TestTxBufferDeferredFlush(t *testing.T) {
 
 func TestPostAllRejectsInvalidBatchAtomically(t *testing.T) {
 	l := NewLedger()
+	before := l.Digest()
 	err := l.PostAll([]Tx{
 		{From: "a", To: "b", Amount: 5, Memo: "ok"},
 		{From: "b", To: "c", Amount: -2, Memo: "bad"},
@@ -192,6 +151,9 @@ func TestPostAllRejectsInvalidBatchAtomically(t *testing.T) {
 	}
 	if l.NumTransactions() != 0 {
 		t.Error("an invalid batch must apply nothing")
+	}
+	if l.Digest() != before {
+		t.Error("an invalid batch must leave the digest unchanged")
 	}
 }
 
@@ -212,16 +174,6 @@ func TestClickIDsPerOfferDeterministic(t *testing.T) {
 	if c1.ID != d1.ID || c2.ID != d2.ID {
 		t.Errorf("o2 click IDs depend on cross-offer interleaving: %s/%s vs %s/%s",
 			c1.ID, c2.ID, d1.ID, d2.ID)
-	}
-}
-
-func TestTransactionsCopy(t *testing.T) {
-	l := NewLedger()
-	l.Post("a", "b", 5, "x")
-	txs := l.Transactions()
-	txs[0].Amount = 999
-	if l.Transactions()[0].Amount != 5 {
-		t.Error("Transactions must return a copy")
 	}
 }
 

@@ -1,6 +1,7 @@
 package mediator
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -10,8 +11,23 @@ import (
 // Snapshot wire-format versions.
 const (
 	mediatorSnapshotVersion = 1
-	ledgerSnapshotVersion   = 1
+	ledgerSnapshotVersion   = 2
 )
+
+// errKeyOrder rejects a snapshot whose account or offer names are not
+// strictly increasing: EncodeSnapshot writes them sorted and unique, so a
+// repeated name would otherwise silently overwrite an earlier entry.
+var errKeyOrder = errors.New("mediator: snapshot keys not strictly increasing")
+
+// decodeKey reads the i-th map key and fails dec unless it sorts strictly
+// after prev.
+func decodeKey(dec *binenc.Dec, i uint64, prev string) string {
+	k := dec.Str()
+	if i > 0 && k <= prev {
+		dec.Fail(errKeyOrder)
+	}
+	return k
+}
 
 // EncodeSnapshot serializes the mediator's mutable counters: the certified
 // total and the per-offer click numbering. Offer requirements and click
@@ -56,8 +72,9 @@ func (m *Mediator) RestoreSnapshot(data []byte) error {
 		return fmt.Errorf("mediator: decoding snapshot: %w", binenc.ErrTooLong)
 	}
 	next := make(map[string]int, n)
+	offer := ""
 	for i := uint64(0); i < n && dec.Err() == nil; i++ {
-		offer := dec.Str()
+		offer = decodeKey(dec, i, offer)
 		next[offer] = int(dec.Varint())
 	}
 	if err := dec.Done(); err != nil {
@@ -81,8 +98,8 @@ func (s *OfferSession) SyncTo(m *Mediator) {
 	}
 }
 
-// EncodeSnapshot serializes the ledger: every balance (sorted by account)
-// and the full transaction log in posting order, floats bit-exact.
+// EncodeSnapshot serializes the ledger: every balance (sorted by account,
+// floats bit-exact), the posting count and the posting Digest.
 func (l *Ledger) EncodeSnapshot() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -98,60 +115,39 @@ func (l *Ledger) EncodeSnapshot() []byte {
 		enc.Str(acct)
 		enc.F64(l.balances[acct])
 	}
-	enc.Uvarint(uint64(len(l.txs)))
-	for _, tx := range l.txs {
-		enc.Str(tx.From)
-		enc.Str(tx.To)
-		enc.F64(tx.Amount)
-		enc.Str(tx.Memo)
-	}
+	enc.Uvarint(uint64(l.numTxs))
+	enc.U64(l.digest)
 	return enc.Bytes()
 }
 
 // RestoreSnapshot replaces the ledger's contents with EncodeSnapshot
-// state. Balances are restored bit-exact, so transfers posted after the
-// restore accumulate onto the same float bit patterns the original run
-// held.
+// state. Balances and the digest are restored bit-exact, so transfers
+// posted after the restore accumulate onto the same float bit patterns
+// and continue the same digest the original run held.
 func (l *Ledger) RestoreSnapshot(data []byte) error {
 	dec := binenc.NewDec(data)
 	if v := dec.U8(); dec.Err() == nil && v != ledgerSnapshotVersion {
 		return fmt.Errorf("mediator: unsupported ledger snapshot version %d", v)
 	}
-	nBal := dec.Uvarint()
-	if dec.Err() == nil && nBal > uint64(dec.Remaining()) {
+	n := dec.Uvarint()
+	if dec.Err() == nil && n > uint64(dec.Remaining()) {
 		return fmt.Errorf("mediator: decoding ledger snapshot: %w", binenc.ErrTooLong)
 	}
-	balances := make(map[string]float64, nBal)
-	for i := uint64(0); i < nBal && dec.Err() == nil; i++ {
-		acct := dec.Str()
+	balances := make(map[string]float64, n)
+	acct := ""
+	for i := uint64(0); i < n && dec.Err() == nil; i++ {
+		acct = decodeKey(dec, i, acct)
 		balances[acct] = dec.F64()
 	}
-	nTxs := dec.Uvarint()
-	if dec.Err() == nil && nTxs > uint64(dec.Remaining()) {
-		return fmt.Errorf("mediator: decoding ledger snapshot: %w", binenc.ErrTooLong)
-	}
-	txs := make([]Tx, 0, nTxs)
-	for i := uint64(0); i < nTxs && dec.Err() == nil; i++ {
-		txs = append(txs, Tx{
-			From:   dec.Str(),
-			To:     dec.Str(),
-			Amount: dec.F64(),
-			Memo:   dec.Str(),
-		})
-	}
+	numTxs := dec.Uvarint()
+	digest := dec.U64()
 	if err := dec.Done(); err != nil {
 		return fmt.Errorf("mediator: decoding ledger snapshot: %w", err)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.balances = balances
-	if l.balancesOnly {
-		// A balances-only ledger stays balances-only: a snapshot from a
-		// full-log configuration restores its balances bit-exact but does
-		// not resurrect the O(run) history.
-		l.txs = nil
-	} else {
-		l.txs = txs
-	}
+	l.numTxs = int(numTxs)
+	l.digest = digest
 	return nil
 }

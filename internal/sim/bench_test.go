@@ -140,9 +140,6 @@ func BenchmarkDeliverOne(b *testing.B) {
 						b.Fatal(err)
 					}
 					sink.log = sink.log[:0]
-					if w.Ledger.NumTransactions() >= 1<<20 {
-						w.Ledger = mediator.NewLedger()
-					}
 				}
 			}
 		})

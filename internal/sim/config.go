@@ -124,12 +124,6 @@ type Config struct {
 	// temp directory). The file is unlinked at creation, so interrupted
 	// runs leak nothing.
 	InstallLogDir string
-	// LedgerBalancesOnly drops the ledger's per-transfer history (the
-	// other O(run) memory term beside the install log), keeping only
-	// account balances. Every balance, the conservation invariant, and
-	// the determinism contract are unchanged; only the retained Tx log —
-	// which no analysis reads — is gone. MassiveConfig switches it on.
-	LedgerBalancesOnly bool
 }
 
 // BasePayout is the per-type average user payout (Table 3).
@@ -299,9 +293,6 @@ func MassiveConfig() Config {
 	// Bound the resident install log: the full run's stream is far larger
 	// than RAM should hold, so spill everything past the last ~1M records.
 	cfg.InstallLogWindow = 1 << 20
-	// And the ledger history with it — at this scale the retained Tx log
-	// would dwarf the device population.
-	cfg.LedgerBalancesOnly = true
 	return cfg
 }
 

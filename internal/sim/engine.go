@@ -37,7 +37,7 @@ import (
 //  3. Cross-cutting effects are buffered and flushed in canonical order.
 //     Ledger postings, install-log records, and stat deltas land in
 //     per-unit sinks merged sequentially after each phase barrier, so
-//     the transaction log and floating-point totals are identical for
+//     the posting sequence and floating-point totals are identical for
 //     any worker count.
 //
 // On top of those rules, every string key the day loop would otherwise

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"runtime"
 	"testing"
 
@@ -41,21 +40,10 @@ func fingerprintRun(t *testing.T, workers, maxProcs int) runFingerprint {
 		installs: w.InstallLog.Slice(),
 		balances: w.Ledger.Balances(),
 		numTxs:   w.Ledger.NumTransactions(),
+		txDigest: w.Ledger.Digest(),
 		charts:   map[string][]playstore.ChartEntry{},
 		exact:    map[string]int64{},
 	}
-	// Order-sensitive digest of the transaction log: the ordered flush
-	// must make even the posting sequence identical across worker counts.
-	// Shares the fnvMix accumulator with the equivalence goldens so both
-	// tests hash transactions identically.
-	h := newFnv()
-	for _, tx := range w.Ledger.Transactions() {
-		h.str(tx.From)
-		h.str(tx.To)
-		h.str(tx.Memo)
-		h.u64(math.Float64bits(tx.Amount))
-	}
-	fp.txDigest = uint64(h)
 	for _, name := range playstore.ChartNames {
 		fp.charts[name] = w.Store.Chart(name)
 	}
@@ -86,7 +74,7 @@ func diffFingerprints(t *testing.T, label string, a, b runFingerprint) {
 		t.Errorf("%s: transaction counts differ: %d vs %d", label, a.numTxs, b.numTxs)
 	}
 	if a.txDigest != b.txDigest {
-		t.Errorf("%s: transaction logs differ (order or amounts)", label)
+		t.Errorf("%s: ledger digests differ (posting order or amounts)", label)
 	}
 	if len(a.balances) != len(b.balances) {
 		t.Errorf("%s: balance account counts differ: %d vs %d", label, len(a.balances), len(b.balances))

@@ -54,7 +54,7 @@ func TestPaperBaselineScenarioMatchesGoldens(t *testing.T) {
 
 // scenarioFingerprint is the cross-worker-count digest for adversarial
 // scenarios: run stats, the device-resolved install log, and the ordered
-// transaction log — everything the determinism contract covers that an
+// posting digest — everything the determinism contract covers that an
 // adversary strategy can influence.
 type scenarioFingerprint struct {
 	stats       RunStats
@@ -93,14 +93,7 @@ func fingerprintScenario(t *testing.T, name string, workers int) scenarioFingerp
 		h.u64(uint64(rec.Day))
 	}
 	fp.installHash = uint64(h)
-	h = newFnv()
-	for _, tx := range w.Ledger.Transactions() {
-		h.str(tx.From)
-		h.str(tx.To)
-		h.str(tx.Memo)
-		h.u64(math.Float64bits(tx.Amount))
-	}
-	fp.txHash = uint64(h)
+	fp.txHash = w.Ledger.Digest()
 	balances := w.Ledger.Balances()
 	accounts := make([]string, 0, len(balances))
 	for acct := range balances {

@@ -151,9 +151,6 @@ func NewWorld(cfg Config) (*World, error) {
 			return nil, err
 		}
 	}
-	if cfg.LedgerBalancesOnly {
-		w.Ledger.DisableTxLog()
-	}
 
 	w.Enforcer = playstore.NewEnforcer(randx.Derive(cfg.Seed, "enforce"), cfg.EnforcementSensitivity)
 	w.Store.SetEnforcer(w.Enforcer)
