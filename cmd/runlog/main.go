@@ -67,14 +67,19 @@ func usage() {
 	os.Exit(2)
 }
 
-func open(path string) (*os.File, *stream.Reader) {
+// open opens a finished run log, failing unless its preamble reads.
+func open(path string) (*os.File, *stream.Tail) {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := stream.NewReader(f)
+	r := stream.NewTail(f)
+	_, ok, err := r.Header()
 	if err != nil {
 		log.Fatalf("%s: %v", path, err)
+	}
+	if !ok {
+		log.Fatalf("%s: log preamble incomplete", path)
 	}
 	return f, r
 }
@@ -90,13 +95,13 @@ func cat(args []string) {
 	f, r := open(fs.Arg(0))
 	defer f.Close()
 
-	h := r.Header()
+	h, _, _ := r.Header()
 	fmt.Printf("# run log v%d seed=%d window=%s..%s mediator=%s fee=$%.2f\n",
 		h.Version, h.Seed, h.WindowStart, h.WindowEnd, h.MediatorName, h.FeePerUser)
 
 	var ev stream.Event
 	for {
-		err := r.Next(&ev)
+		err := r.ReadEvent(&ev)
 		if err == io.EOF {
 			return
 		}
@@ -175,7 +180,7 @@ func stats(args []string) {
 	var last stream.Event
 	truncated := false
 	for {
-		err := r.Next(&ev)
+		err := r.ReadEvent(&ev)
 		if err == io.EOF {
 			break
 		}
@@ -204,13 +209,13 @@ func stats(args []string) {
 		}
 	}
 
-	h := r.Header()
+	h, _, _ := r.Header()
 	fi, err := f.Stat()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("run log %s: %d bytes, v%d, seed=%d, window %s..%s\n", args[0], fi.Size(), h.Version, h.Seed, h.WindowStart, h.WindowEnd)
-	base := r.Base()
+	base, _, _ := r.Base()
 	fmt.Printf("base snapshot: store=%d ledger=%d mediator=%d bytes\n", len(base.Store), len(base.Ledger), len(base.Mediator))
 	fmt.Printf("interned tables: %d devices, %d strings (packages/offers/accounts)\n", len(base.Devices), len(base.Strings))
 

@@ -84,12 +84,6 @@ const (
 	KindOrganicMimic = "organic-mimic"
 )
 
-// Kinds lists every strategy kind, baseline first.
-func Kinds() []string {
-	return []string{KindBaseline, KindJitter, KindSybilSplit,
-		KindDeviceChurn, KindSlowDrip, KindBurst, KindOrganicMimic}
-}
-
 // AdversarySpec selects and parameterizes the worker-pool behaviour of
 // every campaign unit. Zero parameter values take the kind's default.
 type AdversarySpec struct {

@@ -61,9 +61,6 @@ func (l *InstallLog) EnableSpill(dir string, window int) error {
 	return nil
 }
 
-// Spilling reports whether a spill window is configured.
-func (l *InstallLog) Spilling() bool { return l.window > 0 }
-
 // Append adds records in order. In spill mode the resident tail is flushed
 // whenever it reaches the window, so one call may spill mid-batch and a
 // burst larger than the window never holds more than window records in
@@ -275,16 +272,11 @@ func (l *InstallLog) iterSpill(yield func(InstallRecord) bool) bool {
 		l.err = fmt.Errorf("sim: flushing install-log spill: %w", err)
 		return true
 	}
-	sec := io.NewSectionReader(l.rf, 0, l.w.Offset())
-	r, err := stream.NewReader(sec)
-	if err != nil {
-		l.err = fmt.Errorf("sim: reading install-log spill: %w", err)
-		return true
-	}
+	r := stream.NewTail(io.NewSectionReader(l.rf, 0, l.w.Offset()))
 	var ev stream.Event
 	var day dates.Date
 	for n := 0; n < l.spilled; {
-		if err := r.Next(&ev); err != nil {
+		if err := r.ReadEvent(&ev); err != nil {
 			l.err = fmt.Errorf("sim: reading install-log spill: %w", err)
 			return true
 		}

@@ -263,13 +263,6 @@ func (w *World) boostOrganic(r *randx.Rand, pkg string, factor float64) {
 	w.organicRevenue[pkg] *= b
 }
 
-func log10p1(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Log10(1 + x)
-}
-
 // buildCatalog publishes background, baseline, and advertised apps.
 func (w *World) buildCatalog() error {
 	r := randx.Derive(w.Cfg.Seed, "catalog")

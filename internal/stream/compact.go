@@ -14,27 +14,23 @@ type CompactStats struct {
 	OutBytes int64 // size of the compacted log
 }
 
-// Compact rewrites a run log in the current (v3) format: each day's unit
-// events are coalesced into one event-batch frame (one CRC per batch
-// instead of one per frame), and segment index frames with embedded
-// checkpoints are inserted at day boundaries every segmentBytes bytes
-// (0 uses DefaultSegmentBytes), making the output seekable with ReplayDay.
-// The input may be any readable version — a v2 frame-per-event log is
-// upgraded, a v3 log is re-segmented.
+// Compact re-segments a run log: each day's unit events are coalesced
+// into one event-batch frame (one CRC per batch instead of one per
+// frame), and segment index frames with embedded checkpoints are inserted
+// at day boundaries every segmentBytes bytes (0 uses DefaultSegmentBytes),
+// making the output seekable with ReplayDay.
 //
 // The full replay verification machinery drives the rewrite: every event
 // is applied to a live replay state as it is copied, so the embedded
 // checkpoints are bit-exact and a corrupt or diverged input fails instead
 // of producing a plausible-looking output. A torn input (killed run) is
 // rejected; resume the run or verify the prefix first.
-func Compact(r io.Reader, out io.Writer, segmentBytes int64) (*CompactStats, error) {
-	lr, err := NewReader(r)
+func Compact(r io.ReaderAt, out io.Writer, segmentBytes int64) (*CompactStats, error) {
+	t, err := openTail(r)
 	if err != nil {
 		return nil, err
 	}
-	hdr := lr.Header()
-	hdr.Version = Version
-	base := lr.Base()
+	hdr, base := t.hdr, t.base
 	w, err := NewWriter(out, hdr, base)
 	if err != nil {
 		return nil, err
@@ -64,7 +60,7 @@ func Compact(r io.Reader, out io.Writer, segmentBytes int64) (*CompactStats, err
 	var prevDay dates.Date
 	var ev Event
 	for {
-		err := lr.Next(&ev)
+		err := t.ReadEvent(&ev)
 		if err == io.EOF {
 			break
 		}

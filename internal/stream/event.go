@@ -35,18 +35,14 @@ import (
 // Magic opens every run-log file.
 const Magic = "IIRLOG1\n"
 
-// Version is the current run-log format version, written into the header.
-// Version 2 added the interned string table (offer IDs, ledger account
-// names, and catalog packages ride the base frame once and appear in
-// event frames as 1-3 byte references). Version 3 added event-batch
-// frames (a whole day's unit events length-prefixed inside one CRC'd
-// frame) and segment index frames (periodic embedded checkpoints that
-// make seeking O(segment)); readers accept both 2 and 3.
+// Version is the run-log format version, written into the header; it is
+// the only version readers accept. Version 2 added the interned string
+// table (offer IDs, ledger account names, and catalog packages ride the
+// base frame once and appear in event frames as 1-3 byte references).
+// Version 3 added event-batch frames (a whole day's unit events
+// length-prefixed inside one CRC'd frame) and segment index frames
+// (periodic embedded checkpoints that make seeking O(segment)).
 const Version = 3
-
-// minReadVersion is the oldest header version readers still accept.
-// Version-2 logs simply contain no batch or segment frames.
-const minReadVersion = 2
 
 // maxFramePayload bounds a single frame (the base snapshot of a large
 // world is the biggest frame written in practice).
@@ -837,7 +833,7 @@ func decodeHeader(payload []byte) (Header, error) {
 	if err := dec.Done(); err != nil {
 		return Header{}, fmt.Errorf("%w: decoding header: %v", ErrFrame, err)
 	}
-	if h.Version < minReadVersion || h.Version > Version {
+	if h.Version != Version {
 		return Header{}, fmt.Errorf("stream: unsupported run-log version %d", h.Version)
 	}
 	return h, nil

@@ -2,10 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/dates"
+	"repro/internal/mediator"
 	"repro/internal/playstore"
 )
 
@@ -224,30 +227,50 @@ func FuzzSegmentCodecRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzLogStreamRobustness appends arbitrary bytes after a valid preamble
-// and drives every consumer — Reader, Tail, ScanIndex — to exhaustion.
-// None may panic; errors and clean stops are both acceptable.
+// FuzzLogStreamRobustness appends arbitrary bytes after a preamble and
+// drives every reader of a log to exhaustion: Tail (Next and ReadEvent),
+// ScanIndex, Histogram, ScanValid, Replay and Compact. None may panic;
+// errors and clean stops are both acceptable. One seed preamble carries
+// real store, ledger and mediator snapshots, so Replay and Compact get
+// past the base state and apply the fuzzed events. A log that Compact
+// accepts must compact to one that Replay verifies day for day.
 func FuzzLogStreamRobustness(f *testing.F) {
 	var pre bytes.Buffer
 	if _, err := NewWriter(&pre, testHeader(), testBase()); err != nil {
+		f.Fatal(err)
+	}
+	store := playstore.New(1)
+	store.AddDeveloper(playstore.Developer{ID: "d"})
+	if err := store.Publish(playstore.Listing{Package: "com.x", Title: "x", Genre: "Casual", Developer: "d"}); err != nil {
+		f.Fatal(err)
+	}
+	var live bytes.Buffer
+	if _, err := NewWriter(&live, testHeader(), Base{
+		Store: store.EncodeSnapshot(), Ledger: mediator.NewLedger().EncodeSnapshot(),
+		Mediator: mediator.New("med").EncodeSnapshot(),
+		Devices:  []string{"d1"}, Strings: []string{"com.x", "offer-1"},
+	}); err != nil {
 		f.Fatal(err)
 	}
 	var enc Encoder
 	enc.SetRecordMode(true)
 	enc.DayStart(2)
 	enc.Install("com.x", "d1", 0.5)
+	var day Encoder
+	day.DayStart(2)
+	day.Organic("com.x", 3, 0.1, 2, 60, 0.99)
+	day.Install("com.x", "d1", 0.5)
+	day.DayEnd(2, 3, 0, 0, 0.99)
 	f.Add(pre.Bytes(), []byte{})
 	f.Add(pre.Bytes(), enc.Bytes())
 	f.Add(pre.Bytes(), []byte{byte(KindEventBatch), 4, 0, 0, 0, 1, 2, 3, 4})
 	f.Add(pre.Bytes(), []byte{byte(KindSegment), 255, 255, 255, 255})
+	f.Add(live.Bytes(), day.Bytes())
+	f.Add(live.Bytes(), day.Bytes()[:len(day.Bytes())-3])
 	f.Fuzz(func(t *testing.T, preamble, rest []byte) {
 		data := append(append([]byte(nil), preamble...), rest...)
-		if r, err := NewReader(bytes.NewReader(data)); err == nil {
-			var ev Event
-			for r.Next(&ev) == nil {
-			}
-		}
-		tail := NewTail(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		tail := NewTail(r)
 		var ev Event
 		for {
 			ok, err := tail.Next(&ev)
@@ -255,12 +278,74 @@ func FuzzLogStreamRobustness(f *testing.F) {
 				break
 			}
 		}
-		if idx, err := ScanIndex(bytes.NewReader(data)); err == nil {
+		if tail, err := openTail(r); err == nil {
+			for tail.ReadEvent(&ev) == nil {
+			}
+		}
+		if idx, err := ScanIndex(r); err == nil {
 			for _, d := range idx.Days {
 				_ = idx.Segment(d.Day)
 			}
 			_, _ = idx.LastDay()
 		}
-		_, _, _ = Histogram(bytes.NewReader(data))
+		_, _, _ = Histogram(r)
+		_, _ = ScanValid(r, int64(len(data)))
+		_, _ = Replay(r)
+		var out bytes.Buffer
+		st, err := Compact(r, &out, 0)
+		if err != nil {
+			return
+		}
+		res, err := Replay(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("compacted log fails replay: %v", err)
+		}
+		if res.Stats.Days != st.Days {
+			t.Fatalf("compacted log replays %d days, Compact carried %d", res.Stats.Days, st.Days)
+		}
+	})
+}
+
+// FuzzCheckpointDecode wraps arbitrary bytes in a valid checkpoint
+// envelope (magic, version, length-prefixed body, CRC) so the fuzzer
+// reaches the body decoder instead of dying on the CRC. DecodeCheckpoint
+// must never panic, never size a slice past the remaining input, and
+// re-encode whatever it accepts byte-identically.
+func FuzzCheckpointDecode(f *testing.F) {
+	full := &Checkpoint{
+		Day: 9, Days: 3, OrganicInstalls: 40, IncentivizedInstalls: 7, CertifiedCompletions: 5,
+		RevenueUSD: 12.5, LogOffset: 4096, SegBytes: 512, SegStart: 100, SegOrdinal: 2,
+		Store: []byte("store"), Ledger: []byte("ledger"), Mediator: []byte("med"),
+		Platforms: []NamedBlob{{Name: "fyber", Data: []byte{1, 2}}},
+		Streams:   []NamedBlob{{Name: "organic/0", Data: []byte{3}}},
+		Installs:  []Install{{Device: "d1", App: "com.x", Day: 8}},
+	}
+	for _, c := range []*Checkpoint{full, {}} {
+		b := c.Encode()
+		dec := binenc.NewDec(b[len(CheckpointMagic)+1:])
+		f.Add(dec.Blob())
+	}
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 32))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		enc := binenc.NewEnc(len(body) + 32)
+		for _, b := range []byte(CheckpointMagic) {
+			enc.U8(b)
+		}
+		enc.U8(checkpointVersion)
+		enc.Blob(body)
+		enc.U32(crc32.Checksum(body, castagnoli))
+		data := enc.Bytes()
+		c, err := DecodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if cap(c.Platforms) > len(body) || cap(c.Streams) > len(body) || cap(c.Installs) > len(body) {
+			t.Fatalf("slices sized %d/%d/%d past a %d-byte body",
+				cap(c.Platforms), cap(c.Streams), cap(c.Installs), len(body))
+		}
+		if got := c.Encode(); !bytes.Equal(got, data) {
+			t.Fatalf("decode→encode not byte-identical\n  in: %x\n out: %x", data, got)
+		}
 	})
 }

@@ -61,15 +61,12 @@ func (ri RecoverInfo) Dropped() int64 { return ri.Size - ri.ValidEnd }
 // nothing is salvageable.
 func ScanValid(r io.ReaderAt, size int64) (RecoverInfo, error) {
 	info := RecoverInfo{Size: size}
-	t := NewTail(r)
-	if err := t.start(); err != nil {
+	t, err := openTail(r)
+	if err != nil {
 		if c := asCorruption(int64(len(Magic)), 0, err); c != nil {
 			info.Corruption = c
 		}
 		return info, fmt.Errorf("stream: unsalvageable log (bad preamble): %w", err)
-	}
-	if !t.started {
-		return info, fmt.Errorf("%w: log preamble incomplete", ErrFrame)
 	}
 	// An intact preamble with no days yet salvages to the preamble end: a
 	// fresh run restarts from day one on a truncated-but-valid file.

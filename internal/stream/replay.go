@@ -49,20 +49,16 @@ type ReplayResult struct {
 // A log that ends mid-day (a killed run) replays up to the last complete
 // frame and then returns io.ErrUnexpectedEOF wrapped in the error; state
 // up to the last completed day is valid.
-func Replay(r io.Reader) (*ReplayResult, error) {
-	lr, err := NewReader(r)
+func Replay(r io.ReaderAt) (*ReplayResult, error) {
+	t, err := openTail(r)
 	if err != nil {
 		return nil, err
 	}
-	return replayFrames(lr)
-}
-
-func replayFrames(lr *Reader) (*ReplayResult, error) {
-	st, err := baseReplayState(lr.Header(), lr.Base())
+	st, err := baseReplayState(t.hdr, t.base)
 	if err != nil {
 		return nil, err
 	}
-	return replayLoop(lr, st, 0, false)
+	return replayLoop(t, st, 0, false)
 }
 
 // baseReplayState builds the replay starting point from the run-start
@@ -125,13 +121,13 @@ func segmentReplayState(hdr Header, cpBytes []byte) (*replayState, error) {
 	}, nil
 }
 
-// replayLoop applies events from lr until the log ends or, with haveUntil,
+// replayLoop applies events from t until the log ends or, with haveUntil,
 // until the day-end frame of until has been applied and verified.
-func replayLoop(lr *Reader, st *replayState, until dates.Date, haveUntil bool) (*ReplayResult, error) {
+func replayLoop(t *Tail, st *replayState, until dates.Date, haveUntil bool) (*ReplayResult, error) {
 	res := st.res
 	var ev Event
 	for {
-		if err := lr.Next(&ev); err != nil {
+		if err := t.ReadEvent(&ev); err != nil {
 			if err == io.EOF {
 				if haveUntil {
 					return res, fmt.Errorf("stream: day %s not in log", until)
@@ -180,9 +176,10 @@ func replayDayIndexed(r io.ReaderAt, idx *LogIndex, day dates.Date) (*ReplayResu
 	if err != nil {
 		return nil, err
 	}
-	sec := io.NewSectionReader(r, seg.DataOff, idx.End-seg.DataOff)
-	lr := newSectionReader(sec, idx.Header, idx.Base)
-	return replayLoop(lr, st, day, true)
+	// The section ends where the scan did, so bytes appended since (or a
+	// torn tail) read as the end of the log.
+	t := tailAt(io.NewSectionReader(r, 0, idx.End), seg.DataOff, idx.Header, idx.Base)
+	return replayLoop(t, st, day, true)
 }
 
 // replayState tracks the in-flight day while frames are applied.

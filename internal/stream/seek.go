@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
 
 	"repro/internal/dates"
@@ -77,12 +75,9 @@ func (x *LogIndex) LastDay() (dates.Date, bool) {
 // (both tiny) are read in full, CRC-verified. The scan stops cleanly at
 // a torn trailing frame (killed run), marking the index Torn.
 func ScanIndex(r io.ReaderAt) (*LogIndex, error) {
-	t := NewTail(r)
-	if err := t.start(); err != nil {
+	t, err := openTail(r)
+	if err != nil {
 		return nil, err
-	}
-	if !t.started {
-		return nil, fmt.Errorf("%w: log preamble incomplete", ErrFrame)
 	}
 	idx := &LogIndex{
 		Header:   t.hdr,
@@ -90,38 +85,29 @@ func ScanIndex(r io.ReaderAt) (*LogIndex, error) {
 		Segments: []SegmentInfo{{FrameOff: t.off, DataOff: t.off, FirstDay: t.hdr.WindowStart}},
 	}
 	off := t.off
-	var hdr [5]byte
 	var crc [4]byte
 	for {
-		ok, err := t.readAt(hdr[:1], off)
+		k, n, ok, err := t.frameHeader(off)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			idx.End = off
-			return idx, nil
-		}
-		if ok, err = t.readAt(hdr[:], off); !ok || err != nil {
-			idx.End, idx.Torn = off, true
+			// No byte left is a clean end; a partial header is a torn tail.
+			eof, err := t.atEOF(off)
+			idx.End, idx.Torn = off, !eof
 			return idx, err
-		}
-		k := Kind(hdr[0])
-		n := binary.LittleEndian.Uint32(hdr[1:])
-		if n > maxFramePayload {
-			return nil, fmt.Errorf("%w: payload of %d bytes", ErrFrame, n)
 		}
 		next := off + 5 + int64(n) + 4
 		switch k {
 		case KindDayStart, KindSegment:
-			kk, payload, pnext, ok, err := t.peekFrame(off)
+			_, payload, _, ok, err := t.peekFrame(off)
 			if !ok || err != nil {
 				idx.End, idx.Torn = off, true
 				return idx, err
 			}
-			_ = pnext
-			if kk == KindDayStart {
+			if k == KindDayStart {
 				var ev Event
-				if err := decodePayload(kk, payload, &ev, nil, nil); err != nil {
+				if err := decodePayload(k, payload, &ev, nil, nil); err != nil {
 					return nil, err
 				}
 				idx.Days = append(idx.Days, DayInfo{Day: ev.Day, Offset: off, Segment: len(idx.Segments) - 1})
@@ -189,12 +175,9 @@ type KindStats struct {
 // sub-record kinds; the batch frame's own header and CRC stay on the
 // event-batch row.
 func Histogram(r io.ReaderAt) ([]KindStats, int64, error) {
-	t := NewTail(r)
-	if err := t.start(); err != nil {
+	t, err := openTail(r)
+	if err != nil {
 		return nil, 0, err
-	}
-	if !t.started {
-		return nil, 0, fmt.Errorf("%w: log preamble incomplete", ErrFrame)
 	}
 	byKind := map[Kind]*KindStats{}
 	row := func(k Kind) *KindStats {

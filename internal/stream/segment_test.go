@@ -21,17 +21,17 @@ func testBase() Base {
 		Devices: []string{"d1", "d2"}, Strings: []string{"com.x", "offer-1"}}
 }
 
-// drainReader collects every event kind from a Reader.
+// drainReader collects every event of a finished log through ReadEvent.
 func drainReader(t *testing.T, data []byte) []Event {
 	t.Helper()
-	r, err := NewReader(bytes.NewReader(data))
+	r, err := openTail(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []Event
 	for {
 		var ev Event
-		err := r.Next(&ev)
+		err := r.ReadEvent(&ev)
 		if err == io.EOF {
 			return out
 		}
@@ -45,8 +45,8 @@ func drainReader(t *testing.T, data []byte) []Event {
 }
 
 // TestEventBatchRoundTrip writes a day through the batched fast path
-// (record-mode encoders + Writer.EventBatch) and checks that Reader and
-// Tail both deliver the same events, in order, as if each had been its
+// (record-mode encoders + Writer.EventBatch) and checks that ReadEvent
+// and Next both deliver the same events, in order, as if each had been its
 // own frame.
 func TestEventBatchRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -189,7 +189,7 @@ func segmentedTestLog(t *testing.T) []byte {
 }
 
 // TestSegmentFrameIndexedAndSkipped checks that segment index frames are
-// invisible to Reader/Tail consumers, that ScanIndex recovers the
+// invisible to ReadEvent/Next consumers, that ScanIndex recovers the
 // segment directory and per-day offsets, and that SeekToDay lands a tail
 // on the requested day across a segment boundary.
 func TestSegmentFrameIndexedAndSkipped(t *testing.T) {
@@ -294,8 +294,8 @@ func TestTailNeverDeliversTornBatch(t *testing.T) {
 }
 
 // TestCorruptBatchFrameRejected flips one byte inside a batch frame's
-// payload: the whole batch must be rejected by Reader (CRC error) and
-// withheld by Tail.
+// payload: the whole batch must be rejected by ReadEvent (CRC error) and
+// withheld by Next.
 func TestCorruptBatchFrameRejected(t *testing.T) {
 	data := segmentedTestLog(t)
 	idx, err := ScanIndex(bytes.NewReader(data))
@@ -313,13 +313,13 @@ func TestCorruptBatchFrameRejected(t *testing.T) {
 	corrupt := append([]byte(nil), data...)
 	corrupt[batchOff+5] ^= 0xFF
 
-	r, err := NewReader(bytes.NewReader(corrupt))
+	r, err := openTail(bytes.NewReader(corrupt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ev Event
 	for err == nil {
-		err = r.Next(&ev)
+		err = r.ReadEvent(&ev)
 	}
 	if !errorsIsCRC(err) {
 		t.Fatalf("reader on corrupt batch = %v, want CRC error", err)
@@ -412,66 +412,17 @@ func TestCheckpointSegmentStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadVersionCompat pins the version window: v2 logs (frame-per-event,
-// no batches or segments) still read, and versions outside
-// [minReadVersion, Version] are rejected.
+// TestReadVersionCompat pins the version window: every header version
+// but Version is rejected, including the older v2 format.
 func TestReadVersionCompat(t *testing.T) {
-	h := testHeader()
-	h.Version = 2
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, h, testBase())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.DayStart(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Event(&Event{Kind: KindInstall, Pkg: "com.x", Device: "d1", Fraud: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.DayEnd(3, 1, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Header().Version != 2 {
-		t.Fatalf("header version 2 read back as %d", r.Header().Version)
-	}
-	var kinds []Kind
-	for {
-		var ev Event
-		err := r.Next(&ev)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		kinds = append(kinds, ev.Kind)
-	}
-	want := []Kind{KindDayStart, KindInstall, KindDayEnd}
-	if len(kinds) != len(want) {
-		t.Fatalf("v2 log read %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("v2 log read %v, want %v", kinds, want)
-		}
-	}
-
-	for _, v := range []uint32{0, 1, Version + 1} {
+	for _, v := range []uint32{0, 1, 2, Version + 1} {
 		h := testHeader()
 		h.Version = v
 		var buf bytes.Buffer
 		if _, err := NewWriter(&buf, h, testBase()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := NewReader(bytes.NewReader(buf.Bytes())); err == nil {
+		if _, err := openTail(bytes.NewReader(buf.Bytes())); err == nil {
 			t.Errorf("version %d accepted, want rejection", v)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dates"
@@ -80,29 +81,29 @@ func TestReaderRejectsCorruptFrames(t *testing.T) {
 	enc.DayStart(10)
 	log := append([]byte(Magic), enc.Bytes()...)
 
-	if _, err := NewReader(bytes.NewReader(log[:4])); err == nil {
+	if _, err := openTail(bytes.NewReader(log[:4])); err == nil {
 		t.Error("truncated magic must fail")
 	}
 	bad := append([]byte(nil), log...)
 	bad[len(bad)-6] ^= 0xff // flip a payload byte of the last frame
-	r, err := NewReader(bytes.NewReader(bad))
+	r, err := openTail(bytes.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ev Event
-	if err := r.Next(&ev); err == nil {
-		t.Error("CRC corruption must fail Next")
+	if err := r.ReadEvent(&ev); err == nil {
+		t.Error("CRC corruption must fail ReadEvent")
 	}
 
 	// A clean log reads through to io.EOF.
-	r, err = NewReader(bytes.NewReader(log))
+	r, err = openTail(bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Next(&ev); err != nil || ev.Kind != KindDayStart || ev.Day != 10 {
-		t.Fatalf("Next = %+v, %v", ev, err)
+	if err := r.ReadEvent(&ev); err != nil || ev.Kind != KindDayStart || ev.Day != 10 {
+		t.Fatalf("ReadEvent = %+v, %v", ev, err)
 	}
-	if err := r.Next(&ev); err != io.EOF {
+	if err := r.ReadEvent(&ev); err != io.EOF {
 		t.Fatalf("want io.EOF, got %v", err)
 	}
 }
@@ -113,13 +114,39 @@ func TestReaderReportsKilledRun(t *testing.T) {
 	enc.Base(Base{})
 	enc.DayStart(3)
 	log := append([]byte(Magic), enc.Bytes()...)
-	r, err := NewReader(bytes.NewReader(log[:len(log)-2])) // mid-frame kill
+	r, err := openTail(bytes.NewReader(log[:len(log)-2])) // mid-frame kill
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ev Event
-	if err := r.Next(&ev); err != io.ErrUnexpectedEOF {
+	if err := r.ReadEvent(&ev); err != io.ErrUnexpectedEOF {
 		t.Fatalf("want io.ErrUnexpectedEOF, got %v", err)
+	}
+}
+
+// TestCorruptLengthDoesNotAllocate ends a log with a frame header that
+// claims a 64 MiB payload: reading it must report a torn tail without
+// allocating a buffer for bytes the input does not hold.
+func TestCorruptLengthDoesNotAllocate(t *testing.T) {
+	var enc Encoder
+	enc.Header(Header{Version: Version, MediatorName: "m"})
+	enc.Base(Base{})
+	log := append([]byte(Magic), enc.Bytes()...)
+	log = append(log, byte(KindInstall), 0, 0, 0, 4) // u32 length 64 MiB
+	r, err := openTail(bytes.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var ev Event
+	err = r.ReadEvent(&ev)
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("want io.ErrUnexpectedEOF, got %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading a %d-byte log allocated %d bytes", len(log), grew)
 	}
 }
 

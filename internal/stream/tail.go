@@ -7,20 +7,20 @@ import (
 	"io"
 )
 
-// Tail is an online run-log consumer: it reads complete frames from an
-// io.ReaderAt (typically the log file of a run still executing) and
-// reports "no event yet" instead of failing when the next frame has not
-// been fully written. Because it addresses the file by absolute offset and
-// never buffers a partial frame, a Next that returns false is safely
-// retried after the writer's next day-barrier flush.
+// Tail is the run-log reader: it reads complete frames from an
+// io.ReaderAt, verifying every frame's CRC. Online consumers poll Next on
+// the log of a run still executing; it reports "no event yet" instead of
+// failing when the next frame has not been fully written. Because it
+// addresses the file by absolute offset and never buffers a partial
+// frame, a Next that returns false is safely retried after the writer's
+// next day-barrier flush. Readers of a finished log call ReadEvent, which
+// turns "no event yet" into io.EOF or io.ErrUnexpectedEOF.
 type Tail struct {
 	r       io.ReaderAt
 	off     int64
 	started bool
 	hdr     Header
 	base    Base
-	devices []string
-	strings []string
 	scratch []byte
 
 	// Cursor into the current event-batch frame's payload (aliasing
@@ -36,6 +36,29 @@ type Tail struct {
 // opened before the writer has flushed anything.
 func NewTail(r io.ReaderAt) *Tail {
 	return &Tail{r: r}
+}
+
+// errTornPreamble reports a finished log that ends inside its preamble.
+var errTornPreamble = fmt.Errorf("%w: log preamble incomplete: %w", ErrFrame, io.ErrUnexpectedEOF)
+
+// openTail opens a log that is no longer being written: the preamble is
+// parsed now, and an incomplete one is an error rather than "not yet".
+func openTail(r io.ReaderAt) (*Tail, error) {
+	t := NewTail(r)
+	if err := t.start(); err != nil {
+		return nil, err
+	}
+	if !t.started {
+		return nil, errTornPreamble
+	}
+	return t, nil
+}
+
+// tailAt positions a tail at the frame offset off of a log whose header
+// and base snapshot are already decoded; seeking replays use it to start
+// mid-log.
+func tailAt(r io.ReaderAt, off int64, hdr Header, base Base) *Tail {
+	return &Tail{r: r, off: off, started: true, hdr: hdr, base: base}
 }
 
 // Offset returns the byte offset of the next unread frame. While an
@@ -73,19 +96,43 @@ func (t *Tail) readAt(buf []byte, off int64) (bool, error) {
 	return false, fmt.Errorf("stream: tailing run log: %w", err)
 }
 
+// atEOF reports whether no byte of the log remains at off.
+func (t *Tail) atEOF(off int64) (bool, error) {
+	var b [1]byte
+	ok, err := t.readAt(b[:], off)
+	return !ok && err == nil, err
+}
+
+// frameHeader decodes the header of the frame at off: a kind byte and a
+// little-endian u32 payload length, bounded by maxFramePayload. The
+// payload and its u32 CRC follow. It returns ok=false when the header is
+// not fully present yet.
+func (t *Tail) frameHeader(off int64) (k Kind, n uint32, ok bool, err error) {
+	var hdr [5]byte
+	if ok, err = t.readAt(hdr[:], off); !ok {
+		return 0, 0, false, err
+	}
+	n = binary.LittleEndian.Uint32(hdr[1:])
+	if n > maxFramePayload {
+		return 0, 0, false, fmt.Errorf("%w: payload of %d bytes", ErrFrame, n)
+	}
+	return Kind(hdr[0]), n, true, nil
+}
+
 // peekFrame reads the complete frame at off, returning ok=false when it is
 // not fully present yet. The payload slice is reused across calls.
 func (t *Tail) peekFrame(off int64) (k Kind, payload []byte, next int64, ok bool, err error) {
-	var hdr [5]byte
-	if ok, err = t.readAt(hdr[:], off); !ok {
+	var n uint32
+	if k, n, ok, err = t.frameHeader(off); !ok {
 		return 0, nil, 0, false, err
 	}
-	k = Kind(hdr[0])
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxFramePayload {
-		return 0, nil, 0, false, fmt.Errorf("%w: payload of %d bytes", ErrFrame, n)
-	}
+	next = off + 5 + int64(n) + 4
 	if cap(t.scratch) < int(n)+4 {
+		// Grow only once the frame's last byte is present, so a corrupt
+		// length cannot allocate past the input.
+		if eof, err := t.atEOF(next - 1); eof || err != nil {
+			return 0, nil, 0, false, err
+		}
 		t.scratch = make([]byte, int(n)+4)
 	}
 	buf := t.scratch[:int(n)+4]
@@ -97,7 +144,7 @@ func (t *Tail) peekFrame(off int64) (k Kind, payload []byte, next int64, ok bool
 	if crc32.Checksum(payload, castagnoli) != want {
 		return 0, nil, 0, false, fmt.Errorf("%w in %s frame", ErrCRC, k)
 	}
-	return k, payload, off + 5 + int64(n) + 4, true, nil
+	return k, payload, next, true, nil
 }
 
 // start parses the preamble once enough of it is on disk.
@@ -137,8 +184,6 @@ func (t *Tail) start() error {
 		return err
 	}
 	t.hdr, t.base = hdr, base
-	t.devices = base.Devices
-	t.strings = base.Strings
 	t.off = next
 	t.started = true
 	return nil
@@ -161,7 +206,7 @@ func (t *Tail) Next(ev *Event) (bool, error) {
 					return false, err
 				}
 				t.batchOff = next
-				if err := decodePayload(k, payload, ev, t.devices, t.strings); err != nil {
+				if err := decodePayload(k, payload, ev, t.base.Devices, t.base.Strings); err != nil {
 					return false, err
 				}
 				return true, nil
@@ -184,11 +229,32 @@ func (t *Tail) Next(ev *Event) (bool, error) {
 			t.batch, t.batchOff, t.inBatch = payload, 0, true
 			t.off = next
 		default:
-			if err := decodePayload(k, payload, ev, t.devices, t.strings); err != nil {
+			if err := decodePayload(k, payload, ev, t.base.Devices, t.base.Strings); err != nil {
 				return false, err
 			}
 			t.off = next
 			return true, nil
 		}
 	}
+}
+
+// ReadEvent decodes the next event of a log that is no longer being
+// written. It returns io.EOF when no byte remains at the offset and
+// io.ErrUnexpectedEOF when the bytes that remain do not form a complete
+// frame (the log of a killed run).
+func (t *Tail) ReadEvent(ev *Event) error {
+	if ok, err := t.Next(ev); ok || err != nil {
+		return err
+	}
+	if !t.started {
+		return errTornPreamble
+	}
+	eof, err := t.atEOF(t.off)
+	switch {
+	case err != nil:
+		return err
+	case eof:
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
 }

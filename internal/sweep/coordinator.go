@@ -227,14 +227,25 @@ func (co *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, co.g.assemble(cells))
 }
 
-// decode reads a JSON request body; on failure it writes 400 and
-// returns false.
+// maxRequestBytes caps a worker request body. Protocol messages are a
+// few kilobytes at most; the cap only stops a broken or hostile client
+// from making the coordinator buffer without bound.
+const maxRequestBytes = 1 << 20
+
+// decode reads a JSON request body of at most maxRequestBytes; on
+// failure it writes 413 (body too large) or 400 and returns false.
 func decode(w http.ResponseWriter, r *http.Request, in any) bool {
-	if err := json.NewDecoder(r.Body).Decode(in); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(in)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+	default:
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return false
 	}
-	return true
+	return false
 }
 
 // writeOutcome maps queue sentinels onto the protocol's status codes.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -42,6 +43,28 @@ func startCoordinator(t *testing.T, opts Options, qc QueueConfig) (*Coordinator,
 	return co, srv.URL, func() (*Result, error) {
 		o := <-ch
 		return o.res, o.err
+	}
+}
+
+// TestCoordinatorRejectsOversizedBodies posts a valid JSON body holding a
+// string longer than maxRequestBytes to every worker endpoint: each must
+// answer 413 instead of buffering the whole body.
+func TestCoordinatorRejectsOversizedBodies(t *testing.T) {
+	co, err := NewCoordinator(Options{Scenarios: []string{"paper-baseline"}, Seeds: []uint64{1}},
+		QueueConfig{Lease: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co.Close() })
+	body := `{"lease_id":"` + strings.Repeat("x", maxRequestBytes+1) + `"}`
+	for _, path := range []string{"/v1/lease", "/v1/heartbeat", "/v1/complete", "/v1/fail"} {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			co.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("POST %s with a %d-byte body = %d, want 413", path, len(body), rec.Code)
+			}
+		})
 	}
 }
 

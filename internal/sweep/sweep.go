@@ -25,7 +25,6 @@ import (
 	"log/slog"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/conc"
 	"repro/internal/lockstep"
@@ -48,12 +47,8 @@ type Options struct {
 	// GOMAXPROCS). Each cell runs its own world with Workers=1, so the
 	// grid parallelizes across cells, not within them.
 	Workers int
-	// Logf, when set, receives per-cell progress lines (printf-style;
-	// kept for embedders that predate structured logging).
-	Logf func(format string, args ...any)
 	// Log, when set, receives structured per-cell progress records and
-	// the coordinator's control-plane log. Preferred over Logf when both
-	// are set.
+	// the coordinator's control-plane log.
 	Log *slog.Logger
 }
 
@@ -220,25 +215,16 @@ func RunCtx(ctx context.Context, o Options) (*Result, error) {
 	var runner CellRunner // zero value: in-memory, no spool
 	cells := make([]Cell, len(g.jobs))
 	errs := make([]error, len(g.jobs))
-	var logMu sync.Mutex
 	conc.ForN(workers, len(g.jobs), func(i int) {
 		cell, _, err := runner.Run(ctx, g.jobs[i].spec, g.jobs[i].seed)
 		cells[i], errs[i] = cell, err
-		switch {
-		case o.Log != nil:
-			if err != nil {
-				o.Log.Warn("cell failed", "scenario", g.jobs[i].spec.Name, "seed", cell.Seed, "error", err)
-			} else {
-				o.Log.Info("cell done", "scenario", cell.Scenario, "seed", cell.Seed, "eval", cell.Eval.String())
-			}
-		case o.Logf != nil:
-			logMu.Lock()
-			if err != nil {
-				o.Logf("cell %s/seed=%d failed: %v", g.jobs[i].spec.Name, cell.Seed, err)
-			} else {
-				o.Logf("cell %s/seed=%d: %s", cell.Scenario, cell.Seed, cell.Eval)
-			}
-			logMu.Unlock()
+		if o.Log == nil {
+			return
+		}
+		if err != nil {
+			o.Log.Warn("cell failed", "scenario", g.jobs[i].spec.Name, "seed", cell.Seed, "error", err)
+		} else {
+			o.Log.Info("cell done", "scenario", cell.Scenario, "seed", cell.Seed, "eval", cell.Eval.String())
 		}
 	})
 	for _, err := range errs {
