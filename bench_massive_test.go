@@ -1,12 +1,12 @@
 package repro
 
 // Massive-world benchmarks (DESIGN.md E12): the order-of-magnitude
-// scale-up the SoA store columns, the sketch-tier lockstep detector, and
-// the spill-to-disk install log were built for. By default they run a
-// mid-size world so `go test -bench` stays tractable; the -massive flag
-// switches to the full sim.MassiveConfig population (~100k apps, ~1M
-// devices). Both are skipped under -short (CI's budget smoke runs the
-// engine through TestEngine*, not through these).
+// scale-up the SoA store columns and the spill-to-disk install log were
+// built for. By default they run a mid-size world so `go test -bench`
+// stays tractable; the -massive flag switches to the full
+// sim.MassiveConfig population (~100k apps, ~1M devices). Both are
+// skipped under -short (CI's budget smoke runs the engine through
+// TestEngine*, not through these).
 //
 // Each sub-benchmark reports, beyond ns/op:
 //
@@ -17,24 +17,16 @@ package repro
 //	ns/device-day  ns/op normalized by devices×days — comparable across
 //	               world sizes, and the number the E12 "within 1.5x of
 //	               ScaleConfig" target reads
-//
-// cmd/benchjson parses the extra columns and derives
-// max_world_devices_at_budget (how many devices fit a fixed 2 GiB
-// budget, extrapolating the measured peak linearly) per spill variant.
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/dates"
 	"repro/internal/iip"
-	"repro/internal/lockstep"
-	"repro/internal/randx"
 	"repro/internal/sim"
 )
 
@@ -141,76 +133,4 @@ func BenchmarkMassiveWorld(b *testing.B) {
 	}
 	b.Run("spill=off", func(b *testing.B) { benchMassiveRun(b, false) })
 	b.Run("spill=on", func(b *testing.B) { benchMassiveRun(b, true) })
-}
-
-// BenchmarkMassiveLockstepIngest drives the sketch-tier detector's
-// online ingest at massive device counts: one million devices under
-// -massive, one hundred thousand by default. The stream mixes background
-// noise with planted lockstep groups so both the cell fan-out and the
-// bucket-population cap are exercised; ns/op is the cost of one full
-// pass over the synthesized stream.
-func BenchmarkMassiveLockstepIngest(b *testing.B) {
-	if testing.Short() {
-		b.Skip("massive lockstep benchmark skipped in -short")
-	}
-	devices := 100_000
-	if *massiveFlag {
-		devices = 1_000_000
-	}
-	const appsPerDevice = 4
-	cfg := lockstep.Config{
-		DayBucket:           3,
-		MinCommonApps:       3,
-		MinGroupSize:        3,
-		MaxBucketPopulation: 500,
-		SketchHashes:        64,
-		SketchRows:          8,
-		SketchSeed:          42,
-	}
-	// Synthesize the event stream once, off the clock: mostly uniform
-	// background installs, plus planted 20-device groups marching through
-	// the same apps on the same days.
-	type ev struct {
-		dev, app string
-		day      dates.Date
-	}
-	r := randx.New(97)
-	events := make([]ev, 0, devices*appsPerDevice)
-	for d := 0; d < devices; d++ {
-		dev := fmt.Sprintf("device-%07d", d)
-		// Every hundredth device also installs the same viral app the same
-		// day: one (app, bucket) cell far over MaxBucketPopulation, so the
-		// retraction path runs inside the measured pass.
-		if d%100 == 0 {
-			events = append(events, ev{dev, "viral-app", dates.Date(1)})
-		}
-		if d%1000 < 20 { // one planted group per thousand devices
-			g := d / 1000
-			for k := 0; k < appsPerDevice; k++ {
-				events = append(events, ev{dev, fmt.Sprintf("lockstep-app-%d-%d", g, k), dates.Date(k * 3)})
-			}
-			continue
-		}
-		for k := 0; k < appsPerDevice; k++ {
-			app := fmt.Sprintf("bg-app-%d", r.IntN(devices/10))
-			events = append(events, ev{dev, app, dates.Date(r.IntN(30))})
-		}
-	}
-
-	debug.FreeOSMemory()
-	resetPeakRSS()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		det := lockstep.NewDetector(cfg)
-		det.Grow(len(events))
-		for _, e := range events {
-			det.Ingest(e.dev, e.app, e.day)
-		}
-		if got := det.Stats(); got.BucketsRetracted == 0 {
-			b.Fatal("stream never crossed the bucket cap")
-		}
-	}
-	b.ReportMetric(peakRSSMB(), "peakRSS-MB")
-	b.ReportMetric(float64(devices), "devices")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(events)), "ns/install")
 }

@@ -393,9 +393,9 @@ func BenchmarkSimRunEvents(b *testing.B) {
 // observability surface attached (DESIGN.md E11): registry, every
 // engine/run-loop histogram, and the run-phase tracer ring. Metrics take
 // their timestamps only at day-phase boundaries (~8 time.Now calls per
-// simulated day), so the metrics=on line must stay within 1% of
-// metrics=off — benchjson derives metrics_on_off_overhead_pct from the
-// recorded medians, and the E11 acceptance bar pins it below 1.
+// simulated day), so the metrics=on line should stay within 1% of
+// metrics=off (the E11 target; BENCH_PR9.json holds the recorded
+// metrics_on_off_overhead_pct).
 func benchSimRunMetrics(b *testing.B, metrics bool) {
 	cfg := sim.ScaleConfig()
 	cfg.Workers = 1

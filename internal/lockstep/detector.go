@@ -38,28 +38,13 @@ type Detector struct {
 	// pairs maps a packed device pair to its shared synchronized apps,
 	// refcounted by the number of live cells linking the pair through that
 	// app (retraction on cell death needs the count; set cardinality is
-	// what the threshold reads). Exact tier only — the sketch tier never
-	// materializes pairwise state during ingest.
+	// what the threshold reads).
 	pairs map[uint64]map[int32]int32
-
-	// Sketch tier (cfg.Sketching()): per-device MinHash signatures over
-	// the live cells each device joined, flat at sketchK slots per
-	// device, plus the cell-membership lists exact verification
-	// intersects. hashA/hashB are the universal-hash parameters, all
-	// derived from cfg.SketchSeed.
-	sketchK    int
-	sketchSalt uint64
-	hashA      []uint64
-	hashB      []uint64
-	sigs       []uint64
-	devCells   [][]uint64
 
 	// Accounting surfaced through Stats; metrics, when attached, mirrors
 	// the increments into obs counters (observation only).
 	bucketsRetracted int64
 	pairsPruned      int64
-	lastCandidates   int64
-	lastVerified     int64
 	metrics          *Metrics
 }
 
@@ -84,17 +69,13 @@ func NewDetector(cfg Config) *Detector {
 	if cfg.MinGroupSize < 2 {
 		cfg.MinGroupSize = 2
 	}
-	d := &Detector{
+	return &Detector{
 		cfg:   cfg,
 		devID: map[string]int32{},
 		appID: map[string]int32{},
 		cells: map[uint64]*cellState{},
 		pairs: map[uint64]map[int32]int32{},
 	}
-	if cfg.Sketching() {
-		d.initSketch()
-	}
-	return d
 }
 
 // Stats returns the detector's internal accounting so far.
@@ -102,8 +83,6 @@ func (d *Detector) Stats() Stats {
 	return Stats{
 		BucketsRetracted: d.bucketsRetracted,
 		PairsPruned:      d.pairsPruned,
-		CandidatePairs:   d.lastCandidates,
-		VerifiedPairs:    d.lastVerified,
 	}
 }
 
@@ -119,12 +98,7 @@ func (d *Detector) Grow(events int) {
 	d.seen = make([]map[int32]struct{}, 0, devs)
 	d.appID = make(map[string]int32, events/16+1)
 	d.cells = make(map[uint64]*cellState, events/2+1)
-	if d.cfg.Sketching() {
-		d.sigs = make([]uint64, 0, devs*d.sketchK)
-		d.devCells = make([][]uint64, 0, devs)
-	} else {
-		d.pairs = make(map[uint64]map[int32]int32, events)
-	}
+	d.pairs = make(map[uint64]map[int32]int32, events)
 }
 
 // Events returns how many non-duplicate installs have been ingested.
@@ -144,10 +118,6 @@ func (d *Detector) internDev(name string) int32 {
 	d.devID[name] = id
 	d.devName = append(d.devName, name)
 	d.seen = append(d.seen, nil)
-	if d.cfg.Sketching() {
-		d.sigs = append(d.sigs, d.emptySig()...)
-		d.devCells = append(d.devCells, nil)
-	}
 	return id
 }
 
@@ -244,13 +214,6 @@ func (d *Detector) Ingest(device, app string, day dates.Date) {
 		d.metrics.addRetraction(pruned)
 		return
 	}
-	if d.cfg.Sketching() {
-		// The sketch tier keeps no pairwise state: membership and the
-		// signature minima replace the quadratic link pass, and Groups
-		// verifies banding candidates against the cell index instead.
-		d.sketchAdd(di, key)
-		return
-	}
 	for _, other := range c.devs {
 		d.link(di, other, ai)
 	}
@@ -260,102 +223,38 @@ func (d *Detector) Ingest(device, app string, day dates.Date) {
 // IngestEvent feeds one Event.
 func (d *Detector) IngestEvent(ev Event) { d.Ingest(ev.Device, ev.App, ev.Day) }
 
-// namePair returns the pair's device names in name order.
-func (d *Detector) namePair(a, b int32) [2]string {
-	na, nb := d.devName[a], d.devName[b]
-	if na > nb {
-		na, nb = nb, na
-	}
-	return [2]string{na, nb}
-}
-
-func sortPairs(out [][2]string) [][2]string {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-// QualifyingPairs returns the device pairs currently meeting the exact
-// MinCommonApps criterion, each name-ordered, the list sorted. The exact
-// tier reads its pairwise counts; the sketch tier verifies its banding
-// candidates — so the sketch tier's list can only miss pairs whose
-// signatures never collided in a band (measured recall loss), never
-// contain a pair the exact criterion rejects.
-func (d *Detector) QualifyingPairs() [][2]string {
-	var out [][2]string
-	if d.cfg.Sketching() {
-		d.sortCells()
-		var scratch []int32
-		for pk := range d.candidatePairs() {
-			a, b := int32(pk>>32), int32(uint32(pk))
-			scratch = d.appendCommonLiveApps(scratch[:0], a, b)
-			if len(scratch) >= d.cfg.MinCommonApps {
-				out = append(out, d.namePair(a, b))
-			}
-		}
-	} else {
-		for pk, apps := range d.pairs {
-			if len(apps) >= d.cfg.MinCommonApps {
-				out = append(out, d.namePair(int32(pk>>32), int32(uint32(pk))))
-			}
-		}
-	}
-	return sortPairs(out)
-}
-
-// joinPair merges one qualifying device pair into the union-find forest,
-// folding the pair's linking apps into the set tracked at the merged
-// root. Set union is commutative, so the final forest and app sets are
-// independent of the order pairs arrive in — which is what lets both the
-// exact pairs map and the sketch tier's candidate set feed it from
-// map-iteration order.
-func joinPair(uf *unionFind, linkApps map[int32]map[int32]struct{}, a, b int32, apps []int32) {
-	ra, rb := uf.find(a), uf.find(b)
-	merged := linkApps[ra]
-	if merged == nil {
-		merged = make(map[int32]struct{}, len(apps))
-	}
-	for _, app := range apps {
-		merged[app] = struct{}{}
-	}
-	if rb != ra {
-		for app := range linkApps[rb] {
-			merged[app] = struct{}{}
-		}
-	}
-	root := uf.union(a, b)
-	delete(linkApps, ra)
-	delete(linkApps, rb)
-	linkApps[root] = merged
-}
-
 // Groups extracts the current lockstep clusters: union-find over device
 // pairs sharing at least MinCommonApps synchronized apps, groups of at
 // least MinGroupSize, everything sorted deterministically. It can be
 // called repeatedly as events stream in; each call runs in the size of
-// the qualifying pair set (exact tier) or the banding candidate set
-// (sketch tier), not the full event history.
+// the qualifying pair set, not the full event history. Set union is
+// commutative, so the forest and each root's app set do not depend on
+// the pairs map's iteration order.
 func (d *Detector) Groups() []Group {
 	uf := newUnionFind(len(d.devName))
 	linkApps := map[int32]map[int32]struct{}{}
-	if d.cfg.Sketching() {
-		d.sketchJoin(uf, linkApps)
-	} else {
-		var scratch []int32
-		for pk, apps := range d.pairs {
-			if len(apps) < d.cfg.MinCommonApps {
-				continue
-			}
-			scratch = scratch[:0]
-			for app := range apps {
-				scratch = append(scratch, app)
-			}
-			joinPair(uf, linkApps, int32(pk>>32), int32(uint32(pk)), scratch)
+	for pk, apps := range d.pairs {
+		if len(apps) < d.cfg.MinCommonApps {
+			continue
 		}
+		a, b := int32(pk>>32), int32(uint32(pk))
+		ra, rb := uf.find(a), uf.find(b)
+		merged := linkApps[ra]
+		if merged == nil {
+			merged = make(map[int32]struct{}, len(apps))
+		}
+		for app := range apps {
+			merged[app] = struct{}{}
+		}
+		if rb != ra {
+			for app := range linkApps[rb] {
+				merged[app] = struct{}{}
+			}
+		}
+		root := uf.union(a, b)
+		delete(linkApps, ra)
+		delete(linkApps, rb)
+		linkApps[root] = merged
 	}
 
 	members := map[int32][]int32{}

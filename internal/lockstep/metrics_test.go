@@ -48,31 +48,3 @@ func TestMetricsMirrorStats(t *testing.T) {
 		t.Errorf("metrics changed detection: %d groups vs %d", got, want)
 	}
 }
-
-// TestMetricsSketchFunnel checks the banding-funnel counters accumulate
-// per Groups extraction under a sketch-tier config.
-func TestMetricsSketchFunnel(t *testing.T) {
-	cfg := Config{
-		DayBucket: 1, MinCommonApps: 2, MinGroupSize: 2,
-		SketchHashes: 32, SketchRows: 4, SketchSeed: 7,
-	}
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	d := NewDetector(cfg)
-	d.SetMetrics(m)
-	for _, app := range []string{"a", "b", "c"} {
-		d.Ingest("dev0", app, dates.Date(0))
-		d.Ingest("dev1", app, dates.Date(0))
-	}
-	d.Groups()
-	st := d.Stats()
-	if st.CandidatePairs == 0 || st.VerifiedPairs == 0 {
-		t.Fatalf("sketch funnel empty: %+v", st)
-	}
-	if got := m.CandidatePairs.Value(); got != st.CandidatePairs {
-		t.Errorf("lockstep_candidate_pairs_total = %d, want %d", got, st.CandidatePairs)
-	}
-	if got := m.VerifiedPairs.Value(); got != st.VerifiedPairs {
-		t.Errorf("lockstep_verified_pairs_total = %d, want %d", got, st.VerifiedPairs)
-	}
-}

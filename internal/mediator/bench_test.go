@@ -6,38 +6,24 @@ import (
 	"repro/internal/offers"
 )
 
-// BenchmarkPostback compares the two click-tracking paths (DESIGN.md E5):
-// "map" is the string-keyed mediator API — Sprintf click ID, global lock,
-// map insert per click — and "session" is the per-offer OfferSession the
-// day engine uses, where a click is a slice append addressed by ClickRef
-// and the string ID is never materialized.
+// BenchmarkPostback measures the day engine's click-tracking path
+// (DESIGN.md E5): one click minted on a per-offer OfferSession — a slice
+// append addressed by ClickRef, the string ID never materialized — and
+// its certifying postback.
 func BenchmarkPostback(b *testing.B) {
-	b.Run("map", func(b *testing.B) {
-		m := New("bench")
-		m.RegisterOffer("offer-1", offers.Registration)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c := m.TrackClick("offer-1", "w", 0)
-			if _, err := m.Postback(c.ID, EventRegister, 0); err != nil {
-				b.Fatal(err)
-			}
+	m := New("bench")
+	m.RegisterOffer("offer-1", offers.Registration)
+	s, err := m.Session("offer-1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ref := s.TrackClick("w", 0)
+		if ok, err := s.Postback(ref, EventRegister); err != nil || !ok {
+			b.Fatalf("postback = (%v, %v)", ok, err)
 		}
-	})
-	b.Run("session", func(b *testing.B) {
-		m := New("bench")
-		m.RegisterOffer("offer-1", offers.Registration)
-		s, err := m.Session("offer-1")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ref := s.TrackClick("w", 0)
-			if ok, err := s.Postback(ref, EventRegister); err != nil || !ok {
-				b.Fatalf("postback = (%v, %v)", ok, err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkLedgerPost measures one buffered posting plus its amortized

@@ -3,6 +3,7 @@ package mediator
 import (
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -160,20 +161,35 @@ func TestPostAllRejectsInvalidBatchAtomically(t *testing.T) {
 func TestClickIDsPerOfferDeterministic(t *testing.T) {
 	// Interleaving clicks across offers must not change any offer's own
 	// ID sequence — the property the parallel engine relies on.
-	a := New("af")
-	b := New("af")
-	a.TrackClick("o1", "w", 0)
-	c1 := a.TrackClick("o2", "w", 0)
-	a.TrackClick("o1", "w", 0)
-	c2 := a.TrackClick("o2", "w", 0)
-
-	d1 := b.TrackClick("o2", "w", 0)
-	b.TrackClick("o1", "w", 0)
-	b.TrackClick("o1", "w", 0)
-	d2 := b.TrackClick("o2", "w", 0)
-	if c1.ID != d1.ID || c2.ID != d2.ID {
-		t.Errorf("o2 click IDs depend on cross-offer interleaving: %s/%s vs %s/%s",
-			c1.ID, c2.ID, d1.ID, d2.ID)
+	o2IDs := func(order string) []string {
+		m := New("af")
+		sessions := map[rune]*OfferSession{}
+		for _, o := range "12" {
+			id := "o" + string(o)
+			m.RegisterOffer(id, offers.NoActivity)
+			s, err := m.Session(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions[o] = s
+		}
+		var ids []string
+		for _, o := range order {
+			ref := sessions[o].TrackClick("w", 0)
+			if o != '2' {
+				continue
+			}
+			c, err := sessions[o].Click(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, c.ID)
+		}
+		return ids
+	}
+	a, b := o2IDs("1212"), o2IDs("2112")
+	if len(a) != 2 || a[0] != b[0] || a[1] != b[1] {
+		t.Errorf("o2 click IDs depend on cross-offer interleaving: %v vs %v", a, b)
 	}
 }
 
@@ -196,53 +212,76 @@ func TestRequiredEvent(t *testing.T) {
 
 func TestAttributionLifecycle(t *testing.T) {
 	m := New("appsflyer")
-	m.RegisterOffer("offer-1", offers.Registration)
-	click := m.TrackClick("offer-1", "worker-9", dates.StudyStart)
-
-	// Opening the app is not enough for a registration offer.
-	cert, err := m.Postback(click.ID, EventOpen, dates.StudyStart)
-	if err != nil || cert != nil {
-		t.Fatalf("open should not certify: cert=%v err=%v", cert, err)
+	if m.FeePerUser != 0.03 {
+		t.Errorf("default fee = %v, want AppsFlyer's $0.03/user", m.FeePerUser)
 	}
-	// Registering completes it.
-	cert, err = m.Postback(click.ID, EventRegister, dates.StudyStart.AddDays(1))
+	m.RegisterOffer("offer-1", offers.Registration)
+	s, err := m.Session("offer-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cert == nil {
-		t.Fatal("registration should certify")
+	ref := s.TrackClick("worker-9", dates.StudyStart)
+
+	// Opening the app is not enough for a registration offer.
+	if ok, err := s.Postback(ref, EventOpen); err != nil || ok {
+		t.Fatalf("open should not certify: ok=%v err=%v", ok, err)
 	}
-	if cert.Click.Worker != "worker-9" || cert.FeeUSD != 0.03 {
-		t.Errorf("certification wrong: %+v", cert)
+	// Registering completes it, and the certified click materializes
+	// with the worker and day it was tracked under.
+	if ok, err := s.Postback(ref, EventRegister); err != nil || !ok {
+		t.Fatalf("registration should certify: ok=%v err=%v", ok, err)
 	}
+	click, err := s.Click(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if click.Worker != "worker-9" || click.Day != dates.StudyStart || click.OfferID != "offer-1" {
+		t.Errorf("certified click wrong: %+v", click)
+	}
+	m.AddCertified(1)
 	if m.Certified() != 1 {
 		t.Errorf("certified = %d", m.Certified())
 	}
 	// Double certification is rejected (anti-fraud).
-	_, err = m.Postback(click.ID, EventRegister, dates.StudyStart.AddDays(2))
-	if !errors.Is(err, ErrAlreadyCertified) {
+	if _, err := s.Postback(ref, EventRegister); !errors.Is(err, ErrAlreadyCertified) {
 		t.Errorf("want ErrAlreadyCertified, got %v", err)
 	}
 }
 
+// TestAttributionErrors checks each attribution error matches its
+// sentinel and names the offer (and click) it concerns.
 func TestAttributionErrors(t *testing.T) {
 	m := New("kochava")
-	if _, err := m.Postback("ghost", EventOpen, 0); !errors.Is(err, ErrUnknownClick) {
-		t.Errorf("want ErrUnknownClick, got %v", err)
+	_, err := m.Session("unregistered-offer")
+	if !errors.Is(err, ErrUnknownOfferReq) || !strings.Contains(err.Error(), "unregistered-offer") {
+		t.Errorf("unknown offer: got %v", err)
 	}
-	c := m.TrackClick("unregistered-offer", "w", 0)
-	if _, err := m.Postback(c.ID, EventOpen, 0); !errors.Is(err, ErrUnknownOfferReq) {
-		t.Errorf("want ErrUnknownOfferReq, got %v", err)
+	m.RegisterOffer("o", offers.NoActivity)
+	s, err := m.Session("o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Click(ClickRef{Offer: "o", Index: 0}); !errors.Is(err, ErrUnknownClick) || !strings.Contains(err.Error(), "o index 0") {
+		t.Errorf("unknown click: got %v", err)
+	}
+	ref := s.TrackClick("w", 0)
+	if _, err := s.Postback(ref, EventOpen); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Postback(ref, EventOpen); !errors.Is(err, ErrAlreadyCertified) || !strings.Contains(err.Error(), "kochava-o-c000001") {
+		t.Errorf("double certify: got %v", err)
 	}
 }
 
 func TestNoActivityCertifiesOnOpen(t *testing.T) {
 	m := New("adjust")
 	m.RegisterOffer("o", offers.NoActivity)
-	c := m.TrackClick("o", "w", dates.StudyStart)
-	cert, err := m.Postback(c.ID, EventOpen, dates.StudyStart)
-	if err != nil || cert == nil {
-		t.Fatalf("open should certify a no-activity offer: %v %v", cert, err)
+	s, err := m.Session("o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.Postback(s.TrackClick("w", dates.StudyStart), EventOpen); err != nil || !ok {
+		t.Fatalf("open should certify a no-activity offer: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -255,15 +294,28 @@ func TestEventTypeString(t *testing.T) {
 	}
 }
 
+// TestClickIDsUnique mints clicks through two successive sessions of one
+// offer: once the first is folded back with SyncTo, the second continues
+// its numbering, so no ID repeats.
 func TestClickIDsUnique(t *testing.T) {
 	m := New("af")
 	m.RegisterOffer("o", offers.NoActivity)
 	seen := map[string]bool{}
-	for i := 0; i < 1000; i++ {
-		c := m.TrackClick("o", "w", 0)
-		if seen[c.ID] {
-			t.Fatal("duplicate click ID")
+	for range 2 {
+		s, err := m.Session("o")
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[c.ID] = true
+		for i := 0; i < 500; i++ {
+			c, err := s.Click(s.TrackClick("w", 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen[c.ID] {
+				t.Fatalf("duplicate click ID %s", c.ID)
+			}
+			seen[c.ID] = true
+		}
+		s.SyncTo(m)
 	}
 }

@@ -28,22 +28,18 @@ func TestSessionRequiresRegisteredOffer(t *testing.T) {
 }
 
 // TestSessionClickNumberingMatchesMediator pins the lazy click-ID format
-// to the string-keyed TrackClick numbering: same format, same per-offer
-// sequence starting at 1.
+// ("<mediator>-<offer>-c%06d", numbered from 1 per offer) and checks that
+// SyncTo leaves the mediator's per-offer counter at the session's count.
 func TestSessionClickNumberingMatchesMediator(t *testing.T) {
-	legacy := New("appsflyer")
-	legacy.RegisterOffer("offer-1", offers.Registration)
-	_, s := sessionFixture(t)
+	m, s := sessionFixture(t)
 	for i := 0; i < 3; i++ {
 		worker := fmt.Sprintf("w%d", i)
-		want := legacy.TrackClick("offer-1", worker, dates.StudyStart).ID
-		ref := s.TrackClick(worker, dates.StudyStart)
-		click, err := s.Click(ref)
+		click, err := s.Click(s.TrackClick(worker, dates.StudyStart))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if click.ID != want {
-			t.Fatalf("click %d: session ID %q, mediator ID %q", i, click.ID, want)
+		if want := fmt.Sprintf("appsflyer-offer-1-c%06d", i+1); click.ID != want {
+			t.Fatalf("click %d: ID %q, want %q", i, click.ID, want)
 		}
 		if click.Worker != worker || click.Day != dates.StudyStart || click.OfferID != "offer-1" {
 			t.Fatalf("materialized click fields wrong: %+v", click)
@@ -52,14 +48,23 @@ func TestSessionClickNumberingMatchesMediator(t *testing.T) {
 	if s.NumClicks() != 3 {
 		t.Fatalf("NumClicks = %d, want 3", s.NumClicks())
 	}
+	s.SyncTo(m)
+	if got := m.nextClick["offer-1"]; got != 3 {
+		t.Fatalf("mediator counter after SyncTo = %d, want 3", got)
+	}
 }
 
 // TestSessionNumberingContinuesAfterMediatorClicks pins the collision
-// guard: a session resolved for an offer that already has map-tracked
-// clicks continues that numbering instead of restarting at 1.
+// guard: a session resolved for an offer whose earlier clicks the
+// mediator already counts continues that numbering instead of restarting
+// at 1.
 func TestSessionNumberingContinuesAfterMediatorClicks(t *testing.T) {
-	m, _ := sessionFixture(t)
-	pre := m.TrackClick("offer-1", "w", dates.StudyStart)
+	m, first := sessionFixture(t)
+	pre, err := first.Click(first.TrackClick("w", dates.StudyStart))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.SyncTo(m)
 	s, err := m.Session("offer-1")
 	if err != nil {
 		t.Fatal(err)

@@ -184,11 +184,15 @@ func FuzzMediatorSnapshot(f *testing.F) {
 	f.Add(m.EncodeSnapshot())
 	m.RegisterOffer("offer-1", offers.NoActivity)
 	m.RegisterOffer("offer-2", offers.Usage)
-	m.TrackClick("offer-1", "w", 0)
-	c := m.TrackClick("offer-2", "w", 0)
-	if _, err := m.Postback(c.ID, EventUsage, 0); err != nil {
-		f.Fatal(err)
+	for _, offer := range []string{"offer-1", "offer-2"} {
+		s, err := m.Session(offer)
+		if err != nil {
+			f.Fatal(err)
+		}
+		s.TrackClick("w", 0)
+		s.SyncTo(m)
 	}
+	m.AddCertified(1)
 	f.Add(m.EncodeSnapshot())
 	f.Add(mediatorSnap("o", "o"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -114,16 +114,13 @@ type Config struct {
 	Adversary scenario.AdversarySpec
 
 	// InstallLogWindow, when positive, bounds the install log's resident
-	// tail at that many records: older records spill to a temp file in the
-	// v3 run-log format, holding peak memory at O(window) instead of
-	// O(run) on massive worlds. The logical record stream — lengths,
-	// hashes, checkpoint contents, detector input — is identical either
-	// way. 0 (the default) keeps the whole log in RAM.
+	// tail at that many records: older records spill in the v3 run-log
+	// format to a file under os.TempDir() (which honours $TMPDIR),
+	// unlinked at creation so interrupted runs leak nothing. Peak memory
+	// is O(window) instead of O(run) on massive worlds. The logical record
+	// stream — lengths, hashes, checkpoint contents, detector input — is
+	// identical either way. 0 (the default) keeps the whole log in RAM.
 	InstallLogWindow int
-	// InstallLogDir is where the spill file is created ("" = the system
-	// temp directory). The file is unlinked at creation, so interrupted
-	// runs leak nothing.
-	InstallLogDir string
 }
 
 // BasePayout is the per-type average user payout (Table 3).
@@ -264,10 +261,10 @@ func ScaleConfig() Config {
 // MassiveConfig returns an order-of-magnitude scale-up: a catalog around
 // one hundred thousand apps and worker pools totalling about a million
 // devices across the seven IIPs. It exists to exercise the SoA store
-// columns, the sketch-tier lockstep detector, and the spill-to-disk
-// install log at the sizes they were built for; the -massive-gated
-// benchmarks run it. The structural knobs (shares, payouts, medians) stay
-// at the paper's calibration — only the population scales.
+// columns and the spill-to-disk install log at the sizes they were built
+// for; the -massive-gated benchmarks run it. The structural knobs
+// (shares, payouts, medians) stay at the paper's calibration — only the
+// population scales.
 func MassiveConfig() Config {
 	cfg := DefaultConfig()
 	cfg.BaselineApps = 6_000

@@ -37,7 +37,7 @@ func fingerprintRun(t *testing.T, workers, maxProcs int) runFingerprint {
 	}
 	fp := runFingerprint{
 		stats:    stats,
-		installs: w.InstallLog.Slice(),
+		installs: collect(t, &w.InstallLog),
 		balances: w.Ledger.Balances(),
 		numTxs:   w.Ledger.NumTransactions(),
 		txDigest: w.Ledger.Digest(),

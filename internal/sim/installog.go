@@ -26,8 +26,7 @@ type InstallLog struct {
 	mem     []InstallRecord // resident tail (the whole log when not spilling)
 	spilled int             // records already flushed to the spill file
 
-	window int    // spill threshold; 0 = unbounded in-RAM log
-	dir    string // spill directory ("" = os.TempDir())
+	window int // spill threshold; 0 = unbounded in-RAM log
 
 	w       *stream.Writer
 	bw      *bufio.Writer
@@ -47,17 +46,16 @@ func (l *InstallLog) Len() int { return l.spilled + len(l.mem) }
 func (l *InstallLog) Err() error { return l.err }
 
 // EnableSpill bounds the resident tail at window records, spilling older
-// records to a temp file under dir ("" = the system temp directory). Call
-// before the first append; enabling on a log that already spilled is a
-// no-op error.
-func (l *InstallLog) EnableSpill(dir string, window int) error {
+// records to a temp file under os.TempDir(). Call before the first
+// append; enabling on a log that already spilled is a no-op error.
+func (l *InstallLog) EnableSpill(window int) error {
 	if window <= 0 {
 		return fmt.Errorf("sim: install-log spill window must be positive, got %d", window)
 	}
 	if l.w != nil {
 		return fmt.Errorf("sim: install log is already spilling")
 	}
-	l.window, l.dir = window, dir
+	l.window = window
 	return nil
 }
 
@@ -123,21 +121,6 @@ func (l *InstallLog) All() iter.Seq[InstallRecord] {
 	}
 }
 
-// Slice returns the log as one contiguous slice. When nothing has spilled
-// this is the resident tail itself (no copy — callers must not modify);
-// a spilled log is materialized, which costs O(run) memory and defeats
-// the spill bound, so hot paths should range All instead.
-func (l *InstallLog) Slice() []InstallRecord {
-	if l.spilled == 0 {
-		return l.mem
-	}
-	out := make([]InstallRecord, 0, l.Len())
-	for rec := range l.All() {
-		out = append(out, rec)
-	}
-	return out
-}
-
 // Reset discards every record (spilled state included) and reserves
 // capacity for n records, clamped to the window when spilling. Restore
 // uses it to rebuild the log from a checkpoint.
@@ -193,12 +176,8 @@ func (l *InstallLog) Close() error {
 // an empty base frame. No device or string tables — install frames inline
 // their strings, which keeps the spill self-contained.
 func (l *InstallLog) open() error {
-	dir := l.dir
-	if dir == "" {
-		dir = os.TempDir()
-	}
 	if l.f == nil {
-		f, err := os.CreateTemp(dir, "installog-*.spill")
+		f, err := os.CreateTemp("", "installog-*.spill")
 		if err != nil {
 			return fmt.Errorf("sim: creating install-log spill: %w", err)
 		}

@@ -29,7 +29,7 @@ func TestInstallLogSpillRoundTrip(t *testing.T) {
 	r := randx.New(321)
 	var ref []InstallRecord
 	var l InstallLog
-	if err := l.EnableSpill(t.TempDir(), 16); err != nil {
+	if err := l.EnableSpill(16); err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
@@ -103,7 +103,6 @@ func TestInstallLogSpillWorldEquivalence(t *testing.T) {
 		cfg := TinyConfig()
 		cfg.Workers = 2
 		cfg.InstallLogWindow = window
-		cfg.InstallLogDir = t.TempDir()
 		w, err := NewWorld(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -114,12 +114,32 @@ func (w *World) ResumeRunLog(out io.Writer, cp *stream.Checkpoint) *stream.Write
 	return lw
 }
 
+// checkResumeDay rejects a checkpoint whose day lies outside this
+// world's window or whose day count disagrees with it. The CRC only
+// proves the bytes are the ones written; a checkpoint from a different
+// window (or a hand-edited one) would otherwise resume "successfully"
+// and report a run it never simulated.
+func (w *World) checkResumeDay(cp *stream.Checkpoint) error {
+	win := w.Cfg.Window
+	if !win.Contains(cp.Day) {
+		return fmt.Errorf("sim: checkpoint day %s outside the window %s", cp.Day, win)
+	}
+	if want := int64(cp.Day.DaysSince(win.Start) + 1); cp.Days != want {
+		return fmt.Errorf("sim: checkpoint at %s counts %d days, want %d", cp.Day, cp.Days, want)
+	}
+	return nil
+}
+
 // ValidateResume checks that a restored checkpoint is consistent with
-// this world — every engine work unit resolves and has its RNG stream
-// state — without running anything. Callers with destructive follow-up
-// work (truncating the original event log) run it first, so a checkpoint
-// from a different seed or config fails before any file is touched.
+// this world — its day lies in the window, and every engine work unit
+// resolves and has its RNG stream state — without running anything.
+// Callers with destructive follow-up work (truncating the original event
+// log) run it first, so a checkpoint from a different seed or config
+// fails before any file is touched.
 func (w *World) ValidateResume(cp *stream.Checkpoint) error {
+	if err := w.checkResumeDay(cp); err != nil {
+		return err
+	}
 	eng, err := newEngine(w)
 	if err != nil {
 		return fmt.Errorf("sim: checkpoint does not match this world: %w", err)
@@ -137,8 +157,12 @@ func (w *World) ValidateResume(cp *stream.Checkpoint) error {
 // same Config as the checkpointed run — the deterministic build supplies
 // everything the checkpoint deliberately omits (catalog plans, campaign
 // specs, worker pools, organic rates). RunOpts calls this automatically
-// when RunOptions.Resume is set.
+// when RunOptions.Resume is set. A checkpoint dated outside the window
+// is rejected before anything is overlaid.
 func (w *World) Restore(cp *stream.Checkpoint) error {
+	if err := w.checkResumeDay(cp); err != nil {
+		return err
+	}
 	store, err := playstore.DecodeSnapshot(cp.Store)
 	if err != nil {
 		return fmt.Errorf("sim: restoring store: %w", err)

@@ -90,9 +90,9 @@ func TestTailFeedsLockstepOnline(t *testing.T) {
 
 	// Online == post-hoc: the batch detector over the world's own install
 	// log must report exactly the same groups.
-	events := make([]lockstep.Event, w.InstallLog.Len())
-	for i, rec := range w.InstallLog.Slice() {
-		events[i] = lockstep.Event{Device: rec.Device, App: rec.App, Day: rec.Day}
+	events := make([]lockstep.Event, 0, w.InstallLog.Len())
+	for _, rec := range collect(t, &w.InstallLog) {
+		events = append(events, lockstep.Event{Device: rec.Device, App: rec.App, Day: rec.Day})
 	}
 	want := lockstep.Detect(events, lockstep.DefaultConfig())
 	got := det.Groups()

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/dates"
 	"repro/internal/iip"
 	"repro/internal/playstore"
 	"repro/internal/stream"
@@ -106,7 +107,7 @@ func TestReplayMatchesLive(t *testing.T) {
 	if !bytes.Equal(res.Ledger.EncodeSnapshot(), w.Ledger.EncodeSnapshot()) {
 		t.Error("replayed ledger snapshot differs from live ledger")
 	}
-	live := w.InstallLog.Slice()
+	live := collect(t, &w.InstallLog)
 	if len(res.Installs) != len(live) {
 		t.Fatalf("replayed install log has %d records, live %d", len(res.Installs), len(live))
 	}
@@ -293,6 +294,64 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	}
 	if _, err := w.RunOpts(RunOptions{Resume: cps[0]}); err == nil {
 		t.Error("resuming a different world from this checkpoint must fail")
+	}
+}
+
+// TestResumeRejectsCheckpointOutsideWindow: a checkpoint that passes its
+// CRC but is dated outside the window, or whose day count disagrees with
+// its date, must be refused by ValidateResume, Restore and RunOpts alike
+// — and the refusal must overlay nothing onto the world.
+func TestResumeRejectsCheckpointOutsideWindow(t *testing.T) {
+	cfg := microConfig()
+	var cp *stream.Checkpoint
+	_, _, _ = loggedRun(t, cfg, RunOptions{
+		CheckpointEvery: 5,
+		Checkpoint: func(c *stream.Checkpoint) error {
+			if cp == nil {
+				cp = c
+			}
+			return nil
+		},
+	})
+	win := cfg.Window
+	daysAt := func(d dates.Date) int64 { return int64(d.DaysSince(win.Start) + 1) }
+	for _, tc := range []struct {
+		name string
+		edit func(c *stream.Checkpoint)
+	}{
+		{"day before start", func(c *stream.Checkpoint) { c.Day = win.Start.AddDays(-1); c.Days = daysAt(c.Day) }},
+		{"day after end", func(c *stream.Checkpoint) { c.Day = win.End.AddDays(30); c.Days = daysAt(c.Day) }},
+		{"days mismatch", func(c *stream.Checkpoint) { c.Days++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			edited := *cp
+			tc.edit(&edited)
+			// Re-encode so the CRC is valid: only the semantics are wrong.
+			bad, err := stream.DecodeCheckpoint(edited.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ledger, store := w.Ledger.Digest(), w.Store.EncodeSnapshot()
+			if err := w.ValidateResume(bad); err == nil {
+				t.Error("ValidateResume accepted the checkpoint")
+			}
+			if err := w.Restore(bad); err == nil {
+				t.Error("Restore accepted the checkpoint")
+			}
+			if _, err := w.RunOpts(RunOptions{Resume: bad}); err == nil {
+				t.Error("RunOpts resumed from the checkpoint")
+			}
+			if w.Ledger.Digest() != ledger {
+				t.Error("a rejected checkpoint overlaid the ledger")
+			}
+			if !bytes.Equal(w.Store.EncodeSnapshot(), store) {
+				t.Error("a rejected checkpoint overlaid the store")
+			}
+		})
 	}
 }
 

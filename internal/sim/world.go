@@ -147,7 +147,7 @@ func NewWorld(cfg Config) (*World, error) {
 	w.gen = textgen.New(randx.Derive(cfg.Seed, "names"))
 
 	if cfg.InstallLogWindow > 0 {
-		if err := w.InstallLog.EnableSpill(cfg.InstallLogDir, cfg.InstallLogWindow); err != nil {
+		if err := w.InstallLog.EnableSpill(cfg.InstallLogWindow); err != nil {
 			return nil, err
 		}
 	}

@@ -61,9 +61,8 @@ type Cell struct {
 	Groups   int                 `json:"groups"`
 	Flagged  int                 `json:"flagged_devices"`
 	Eval     lockstep.Evaluation `json:"eval"`
-	// Detector is the cell detector's internal accounting: signal
-	// retracted at the bucket-population cap and, under a sketch-tier
-	// spec, the banding candidate/verified counts.
+	// Detector is the cell detector's internal accounting: the cells
+	// and device pairs retracted at the bucket-population cap.
 	Detector lockstep.Stats `json:"detector"`
 }
 
